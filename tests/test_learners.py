@@ -17,8 +17,10 @@ from ogboost.learners import (
     greedy_adapter,
     hedge_committee,
     make_lower_bound_pool,
+    stump_committee,
     symmetrize,
 )
+from ogboost.bench import make_additive_stream
 
 
 def _ex(features, label=None, eid=-1):
@@ -137,6 +139,20 @@ class TestStumpLearner:
             lrn.update(ex, g)
         n_feats = len(lrn.w)
         assert cum <= 0.0 + 3.0 * n_feats * math.sqrt(rounds)
+
+    def test_committee_matches_independent_copies(self):
+        rng = np.random.default_rng(10)
+        stream = make_additive_stream(400, seed=5)
+        n = 4
+        singles = [StumpLearner() for _ in range(n)]
+        bank = stump_committee(n)
+        gs = rng.uniform(-1, 1, size=(len(stream), n))
+        for t, (ex, _) in enumerate(stream):
+            for i in range(n):
+                assert bank[i].predict(ex) == singles[i].predict(ex)
+            for i in range(n):
+                singles[i].update(ex, float(gs[t, i]))
+                bank[i].update(ex, float(gs[t, i]))
 
 
 def _const_pool(values):
