@@ -190,8 +190,9 @@ def write_stream(stream: Stream, path: str | Path, fmt: str = "libsvm") -> None:
     out: list[str] = []
     if fmt == "libsvm":
         for ex in stream.examples:
-            pairs = " ".join(f"{k}:{v!r}" for k, v in sorted(ex.features.items()))
-            out.append(f"{ex.label!r} {pairs}".strip())
+            # float() first: numpy 2 scalars repr as np.float64(...)
+            pairs = " ".join(f"{k}:{float(v)!r}" for k, v in sorted(ex.features.items()))
+            out.append(f"{float(ex.label)!r} {pairs}".strip())
     elif fmt == "csv":
         names = stream.meta.get("names")
         if not names:
@@ -199,7 +200,8 @@ def write_stream(stream: Stream, path: str | Path, fmt: str = "libsvm") -> None:
         ids = [feature_id(n) for n in names]
         out.append("label," + ",".join(names))
         for ex in stream.examples:
-            row = [repr(ex.label)] + [repr(ex.features.get(fid, 0.0)) for fid in ids]
+            row = [repr(float(ex.label))] + [repr(float(ex.features.get(fid, 0.0)))
+                                             for fid in ids]
             out.append(",".join(row))
     else:
         raise StreamFormatError(f"unknown format {fmt!r}")

@@ -13,6 +13,13 @@ can score test-then-train.  Stage feedback is the loss gradient at the
 previous partial sum, normalized by the ball Lipschitz constant so every
 base learner sees unit-Lipschitz linear losses.
 
+The stages are one committee (see ``ogboost.learners``): a round makes one
+committee ``predict`` for all N stage predictions and one ``update`` with
+all N feedbacks.  A plain list of learners is wrapped in a committee that
+calls them one by one; ``booster.learners`` is then ``[committee]``.  Only
+greedy-offset stages, whose offsets are the sequential partial sums, stay
+a list called stage by stage.
+
 A booster instance owns its learners and is single-threaded; independent
 instances may run in parallel.
 """
@@ -44,12 +51,39 @@ class RoundTrace:
     arms: list          # stage predictions A^i(x)
 
 
-class _BoosterBase:
+class _LearnerList:
+    """Committee protocol over independent stage learners, called one by one."""
+
     def __init__(self, learners: list):
-        if not learners:
-            raise ValueError("need at least one base learner")
-        self.learners = list(learners)
-        self.stages = len(learners)
+        self.learners = learners
+        self.deterministic = all(getattr(lrn, "deterministic", False) for lrn in learners)
+
+    def __len__(self) -> int:
+        return len(self.learners)
+
+    def predict(self, x: Example) -> list:
+        return [lrn.predict(x) for lrn in self.learners]
+
+    def update(self, x: Example, feedbacks: list) -> None:
+        for lrn, fb in zip(self.learners, feedbacks):
+            lrn.update(x, fb)
+
+
+class _BoosterBase:
+    def __init__(self, learners, greedy_offsets: bool = False):
+        if isinstance(learners, (list, tuple)):
+            if not learners:
+                raise ValueError("need at least one base learner")
+            committee = _LearnerList(list(learners))
+        elif greedy_offsets:
+            raise ValueError("greedy offsets need a list of stage learners")
+        else:
+            committee = learners
+        self.stages = len(committee)
+        self.greedy_offsets = greedy_offsets
+        # One committee, called once per round.  Greedy stages take their own
+        # offsets, which are sequential, so they stay one learner per stage.
+        self.learners = committee.learners if greedy_offsets else [committee]
         self.round = 0
         self._pending: int | None = None
 
@@ -66,6 +100,14 @@ class _BoosterBase:
             raise RuntimeError("update called with a stale or missing round trace")
         self._pending = None
         self.round += 1
+
+    def _update_learners(self, x: Example, sums: list, loss: LossInstance,
+                         feedbacks: list) -> None:
+        if self.greedy_offsets:
+            for lrn, y_prev in zip(self.learners, sums):
+                lrn.update(x, y_prev, loss)
+        else:
+            self.learners[0].update(x, feedbacks)
 
 
 class SpanBooster(_BoosterBase):
@@ -89,7 +131,7 @@ class SpanBooster(_BoosterBase):
     def __init__(self, loss_class: LossClass, learners: list, eta: float | None = None,
                  output_bound: float = 1.0, deterministic_mode: bool = False,
                  greedy_offsets: bool = False):
-        super().__init__(learners)
+        super().__init__(learners, greedy_offsets)
         n = self.stages
         self.eta = auto_eta(n) if eta is None else float(eta)
         if not (1.0 / n - 1e-12 <= self.eta <= 1.0 + 1e-12):
@@ -97,11 +139,9 @@ class SpanBooster(_BoosterBase):
         self.loss_class = loss_class
         self.output_bound = output_bound
         self.deterministic_mode = deterministic_mode
-        self.greedy_offsets = greedy_offsets
         if deterministic_mode:
-            for lrn in learners:
-                if not getattr(lrn, "deterministic", False):
-                    raise ValueError("deterministic_mode requires deterministic base learners")
+            if not all(getattr(c, "deterministic", False) for c in self.learners):
+                raise ValueError("deterministic_mode requires deterministic base learners")
             self.radius = self.eta * n * output_bound
         else:
             self.radius = loss_class.solve_ball_radius(self.eta, n, output_bound)
@@ -118,17 +158,16 @@ class SpanBooster(_BoosterBase):
         radius = self.radius
         y: Vector = 0.0
         sums = [y]
-        arms = []
         if self.greedy_offsets:
+            arms = []
             for s, lrn in zip(self.shrink, self.learners):
                 a = lrn.predict(x, y)
                 arms.append(a)
                 y = project_to_ball((1.0 - s * eta) * y + eta * a, radius)
                 sums.append(y)
         else:
-            for s, lrn in zip(self.shrink, self.learners):
-                a = lrn.predict(x)
-                arms.append(a)
+            arms = self.learners[0].predict(x)
+            for s, a in zip(self.shrink, arms):
                 y = (1.0 - s * eta) * y + eta * a
                 # scalar fast path of project_to_ball
                 if type(y) is float:
@@ -148,18 +187,11 @@ class SpanBooster(_BoosterBase):
         alpha = 1.0 / (lip * self.radius * math.sqrt(self.round))  # round already advanced
         sums = trace.partial_sums
         shrink = self.shrink
-        gradient = loss.gradient
-        greedy = self.greedy_offsets
-        feedbacks = []
-        for i, lrn in enumerate(self.learners):
+        grads = [loss.gradient(y) for y in sums[:-1]]
+        feedbacks = [grad / lip for grad in grads]
+        self._update_learners(x, sums, loss, feedbacks)
+        for i, grad in enumerate(grads):
             y_prev = sums[i]
-            grad = gradient(y_prev)
-            fb = grad / lip
-            feedbacks.append(fb)
-            if greedy:
-                lrn.update(x, y_prev, loss)
-            else:
-                lrn.update(x, fb)
             if type(grad) is float:
                 s = shrink[i] + alpha * (grad * y_prev)
                 shrink[i] = 0.0 if s < 0.0 else 1.0 if s > 1.0 else s
@@ -180,10 +212,9 @@ class HullBooster(_BoosterBase):
 
     def __init__(self, loss_class: LossClass, learners: list, output_bound: float = 1.0,
                  greedy_offsets: bool = False):
-        super().__init__(learners)
+        super().__init__(learners, greedy_offsets)
         self.loss_class = loss_class
         self.output_bound = output_bound
-        self.greedy_offsets = greedy_offsets
         params = loss_class.ball_params(output_bound)
         if params.lipschitz <= 0:
             raise ValueError("loss family has zero Lipschitz constant on the output ball")
@@ -195,17 +226,16 @@ class HullBooster(_BoosterBase):
         rid = self._open_round()
         y: Vector = 0.0
         sums = [y]
-        arms = []
         if self.greedy_offsets:
+            arms = []
             for w, lrn in zip(self.stage_weights, self.learners):
                 a = lrn.predict(x, y)
                 arms.append(a)
                 y = (1.0 - w) * y + w * a
                 sums.append(y)
         else:
-            for w, lrn in zip(self.stage_weights, self.learners):
-                a = lrn.predict(x)
-                arms.append(a)
+            arms = self.learners[0].predict(x)
+            for w, a in zip(self.stage_weights, arms):
                 y = (1.0 - w) * y + w * a
                 sums.append(y)
         return y, RoundTrace(rid, sums, arms)
@@ -214,17 +244,8 @@ class HullBooster(_BoosterBase):
         self._consume_trace(trace)
         lip = self.lipschitz
         sums = trace.partial_sums
-        gradient = loss.gradient
-        greedy = self.greedy_offsets
-        feedbacks = []
-        for i, lrn in enumerate(self.learners):
-            grad = gradient(sums[i])
-            fb = grad / lip
-            feedbacks.append(fb)
-            if greedy:
-                lrn.update(x, sums[i], loss)
-            else:
-                lrn.update(x, fb)
+        feedbacks = [loss.gradient(y) / lip for y in sums[:-1]]
+        self._update_learners(x, sums, loss, feedbacks)
         return feedbacks
 
 
@@ -234,7 +255,8 @@ class ScaledLearner:
     The scaled learner competes with the lambda-scaled base class; its
     output bound becomes lambda * D and feedback is forwarded unchanged.
     The owning booster must be constructed with the enlarged output bound
-    (its radius solver then works on the scaled ball).
+    (its radius solver then works on the scaled ball).  A wrapped stage
+    committee scales each of its N predictions.
     """
 
     def __init__(self, inner, scale: float):
@@ -249,8 +271,13 @@ class ScaledLearner:
     def clone(self, tag: int = 0) -> "ScaledLearner":
         return ScaledLearner(self.inner.clone(tag), self.scale)
 
+    def __len__(self) -> int:
+        return len(self.inner)
+
     def predict(self, x: Example):
         p = self.inner.predict(x)
+        if type(p) is list:  # a committee's N stage predictions
+            return [self.scale * a for a in p]
         return self.scale * p
 
     def update(self, x: Example, fb) -> None:

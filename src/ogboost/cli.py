@@ -170,7 +170,10 @@ def build_learners(cfg: RunConfig, stream, pool, loss_class):
     if cfg.base == "ogd":
         stage = [learners.OnlineGradientLearner(1.0, cfg.lr) for _ in range(n)]
     elif cfg.base == "stump":
-        stage = [learners.StumpLearner(1.0, cfg.lr) for _ in range(n)]
+        if cfg.symmetrize:  # the wrapper needs one learner object per stage
+            stage = [learners.StumpLearner(1.0, cfg.lr) for _ in range(n)]
+        else:
+            stage = learners.stump_committee(n, 1.0, cfg.lr)
     elif cfg.base == "hedge-pool":
         if pool is None:
             raise ValueError("--base hedge-pool requires a synthetic pool stream")
@@ -192,12 +195,12 @@ def build_learners(cfg: RunConfig, stream, pool, loss_class):
     if cfg.symmetrize:
         stage = [learners.symmetrize(l, horizon) for l in stage]
     if cfg.scale > 1.0:
-        stage = [boosting.scale_wrap(l, cfg.scale) for l in stage]
+        stage = (boosting.scale_wrap(stage, cfg.scale) if not isinstance(stage, list)
+                 else [boosting.scale_wrap(l, cfg.scale) for l in stage])
     return stage, committee
 
 
 def execute_run(cfg: RunConfig) -> dict:
-    loss_class = losses.parse_loss_flag(cfg.loss)
     stream, comp, pool = build_stream(cfg)
     stage, committee = build_learners(cfg, stream, pool, stream.loss_class)
     eta = None if cfg.eta == "auto" else float(cfg.eta)

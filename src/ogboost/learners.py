@@ -17,6 +17,14 @@ was y -> g . y.  Implementations:
 * ``GreedyFitLearner`` / ``greedy_adapter`` -- a follow-the-leader fitter
   that consumes the true loss at an offset instead of linear feedback.
 
+A booster runs N copies of one learner that all see the same example, so
+a stage committee is one object with two calls per round: ``predict(x)``
+returns the N stage predictions and ``update(x, feedbacks)`` takes the N
+stage feedbacks, checked once per round.  ``stump_committee`` and
+``hedge_committee`` keep the N copies' state in shared arrays and equal
+independent copies; a plain list of learners is run as a committee by the
+booster.
+
 Learner instances are single-threaded mutable state; independent boosters
 own disjoint copies.
 """
@@ -48,6 +56,17 @@ def _unwrap_feedback(fb) -> Vector:
         raise ValueError(f"linear feedback norm {abs(g):.6g} exceeds 1")
     if vnorm(g) > 1.0 + FEEDBACK_TOL:
         raise ValueError(f"linear feedback norm {vnorm(g):.6g} exceeds 1")
+    return g
+
+
+def _feedback_vector(fb, n: int) -> np.ndarray:
+    """A committee's n scalar stage feedbacks, checked as ``_unwrap_feedback`` does."""
+    g = np.asarray(fb, dtype=float)
+    if g.shape != (n,):
+        raise ValueError(f"expected {n} stage feedbacks, got shape {g.shape}")
+    top = np.abs(g).max()
+    if not top <= 1.0 + FEEDBACK_TOL:  # also rejects NaN
+        raise ValueError(f"linear feedback norm {top:.6g} exceeds 1")
     return g
 
 
@@ -365,115 +384,94 @@ class StumpLearner(BaseLearner):
             st[0] = new
 
 
-class _StumpBank:
-    """Vectorized state for a committee of stump copies.
+class StumpCommittee:
+    """N ``StumpLearner`` copies that see the same examples, run as one learner.
 
-    Stage copies see the same example stream, so per-feature step counts
-    and value ranges are shared; weights and cumulative losses are
-    per-(feature, stage) arrays.  Updates are buffered per round and
-    flushed when the next example arrives (streaming protocol, advancing
-    example ids), mirroring ``_HedgeBank``.
+    ``predict`` returns the N stage predictions and ``update`` takes the N
+    stage feedbacks; both equal those of independent copies bit for bit.
+    The copies share each feature's step count and value range, so those
+    are per-slot vectors, while weights and cumulative losses are dense
+    (slots x N) arrays.  A feature-id -> slot dict indexes the rows, which
+    grow by doubling, so a round costs a fixed number of numpy operations
+    however many features are present.
     """
 
-    def __init__(self, n: int, output_bound: float, lr_scale: float):
+    deterministic = True
+
+    def __init__(self, n: int, output_bound: float = 1.0, lr_scale: float = 1.0):
+        if n < 1:
+            raise ValueError("committee size must be >= 1")
         self.n = n
         self.output_bound = output_bound
         self.lr_scale = lr_scale
-        self.w: dict[int, np.ndarray] = {}
-        self.cum: dict[int, np.ndarray] = {}
-        self.steps: dict[int, int] = {}
-        self.vmax: dict[int, float] = {}
-        self._pred_eid = -2
-        self._preds: list | None = None
-        self._pending_ex: Example | None = None
-        self._pending_g = np.zeros(n)
+        self.slots: dict[int, int] = {}
+        self.w = np.zeros((8, n))
+        self.cum = np.zeros((8, n))
+        self.steps = np.zeros(8)
+        self.vmax = np.full(8, 1e-12)
+        self._cols = np.arange(n)
 
-    def _flush(self) -> None:
-        ex = self._pending_ex
-        if ex is None:
-            return
-        g = self._pending_g
+    def __len__(self) -> int:
+        return self.n
+
+    def _rows(self, keys) -> list[int]:
+        slots = self.slots
+        rows = [slots.get(k, -1) for k in keys]
+        if -1 in rows:
+            rows = [self._add(k) if r < 0 else r for k, r in zip(keys, rows)]
+        return rows
+
+    def _add(self, k: int) -> int:
+        s = self.slots[k] = len(self.slots)
+        if s == len(self.steps):
+            def grow(a, fill):
+                return np.concatenate((a, np.full_like(a, fill)))
+            self.w, self.cum = grow(self.w, 0.0), grow(self.cum, 0.0)
+            self.steps, self.vmax = grow(self.steps, 0.0), grow(self.vmax, 1e-12)
+        return s
+
+    def predict(self, x: Example) -> list[float]:
+        feats = x.features
+        if not feats:
+            return [0.0] * self.n
+        keys = sorted(feats)  # argmin ties go to the lowest feature id
+        rows = np.array(self._rows(keys))
+        choice = self.cum.take(rows, 0).argmin(axis=0)
+        v = np.array([feats[k] for k in keys], dtype=float)
+        raw = self.w[rows[choice], self._cols] * v[choice]
         D = self.output_bound
-        scale = self.lr_scale * D
-        minimum, maximum = np.minimum, np.maximum
-        for k, v in ex.features.items():
-            wk = self.w.get(k)
-            if wk is None:
-                wk = self.w[k] = np.zeros(self.n)
-                self.cum[k] = np.zeros(self.n)
-                self.steps[k] = 0
-                self.vmax[k] = 1e-12
-            pred = minimum(maximum(wk * v, -D), D)
-            self.cum[k] += g * pred
-            t = self.steps[k] + 1
-            self.steps[k] = t
-            gm = self.vmax[k]
-            a = abs(v)
-            if a > gm:
-                gm = a
-                self.vmax[k] = a
-            wk -= ((scale / (gm * math.sqrt(t))) * g) * v
-            cap = D / gm
-            maximum(wk, -cap, out=wk)
-            minimum(wk, cap, out=wk)
-        self._pending_ex = None
-        self._pending_g = np.zeros(self.n)
-
-    def predict(self, row: int, x: Example) -> float:
-        if x.eid != self._pred_eid:
-            self._flush()
-            feats = x.features
-            n = self.n
-            if not feats:
-                self._preds = [0.0] * n
-            else:
-                items = sorted(feats.items())  # tie-break: lowest feature id
-                m = len(items)
-                cums = np.zeros((m, n))
-                wmat = np.zeros((m, n))
-                for i, (k, _) in enumerate(items):
-                    c = self.cum.get(k)
-                    if c is not None:
-                        cums[i] = c
-                        wmat[i] = self.w[k]
-                choice = np.argmin(cums, axis=0)
-                vvec = np.array([v for _, v in items])
-                raw = wmat[choice, np.arange(n)] * vvec[choice]
-                D = self.output_bound
-                self._preds = np.minimum(np.maximum(raw, -D), D).tolist()
-            self._pred_eid = x.eid
-        return self._preds[row]
-
-    def update(self, row: int, x: Example, g: float) -> None:
-        if self._pending_ex is not None and x.eid != self._pending_ex.eid:
-            self._flush()
-        self._pending_ex = x
-        self._pending_g[row] += g
-
-
-class BankedStumpLearner(BaseLearner):
-    """One row of a shared stump bank; behaves like ``StumpLearner``."""
-
-    def __init__(self, bank: _StumpBank, row: int):
-        super().__init__()
-        self.bank = bank
-        self.row = row
-        self.output_bound = bank.output_bound
-
-    def predict(self, x: Example) -> float:
-        return self.bank.predict(self.row, x)
+        return np.minimum(np.maximum(raw, -D), D).tolist()
 
     def update(self, x: Example, fb) -> None:
-        g = _unwrap_feedback(fb)
-        self.updates += 1
-        self.bank.update(self.row, x, g)
+        g = _feedback_vector(fb, self.n)
+        feats = x.features
+        if not feats:
+            return
+        rows = np.array(self._rows(feats))
+        v = np.fromiter(feats.values(), float, len(feats))
+        t = self.steps.take(rows) + 1.0
+        self.steps[rows] = t
+        gm = np.maximum(self.vmax.take(rows), np.abs(v))
+        self.vmax[rows] = gm
+        v, gm = v[:, None], gm[:, None]
+        D = self.output_bound
+        w = self.w.take(rows, 0)
+        pred = w * v
+        np.maximum(pred, -D, out=pred)
+        np.minimum(pred, D, out=pred)
+        pred *= g
+        self.cum[rows] = self.cum.take(rows, 0) + pred
+        w -= ((self.lr_scale * D / (gm * np.sqrt(t)[:, None])) * g) * v
+        # per-feature weight ball keeps |w_k * v| <= D for |v| <= G_k
+        cap = D / gm
+        np.maximum(w, -cap, out=w)
+        np.minimum(w, cap, out=w)
+        self.w[rows] = w
 
 
-def stump_committee(n: int, output_bound: float = 1.0,
-                    lr_scale: float = 1.0) -> list[BankedStumpLearner]:
-    """Build n stump copies backed by a shared vectorized bank."""
-    bank = _StumpBank(n, output_bound, lr_scale)
-    return [BankedStumpLearner(bank, i) for i in range(n)]
+def stump_committee(n: int, output_bound: float = 1.0, lr_scale: float = 1.0) -> StumpCommittee:
+    """Build a committee of n stump copies with dense shared state."""
+    return StumpCommittee(n, output_bound, lr_scale)
 
 
 def _hedge_rate(pool_size: int, horizon: int) -> float:
@@ -553,99 +551,58 @@ class HedgeLearner(BaseLearner):
                 w[:] = 1.0 / len(w)
 
 
-class _HedgeBank:
-    """Vectorized weight state shared by a committee of hedge copies.
+class HedgeCommittee:
+    """N ``HedgeLearner`` copies over one pool, run as one learner.
 
-    All copies see the same pool values each round, so their weight rows
-    can live in one (n, M) matrix.  Stage updates are buffered and flushed
-    in a single vectorized pass when a new example arrives; this requires
-    the streaming predict-then-update protocol with advancing example ids,
-    which is exactly how the boosters drive their stage copies.
+    All copies see the same pool values each round, so their weights are
+    the rows of one (N x M) matrix.  ``predict`` returns the N stage
+    predictions and ``update`` takes the N stage feedbacks, each a single
+    vectorized pass.  The rate is fixed by a known horizon.
     """
 
-    def __init__(self, pool: FunctionPool, n: int, horizon: int, mode: str, seed: int):
+    def __init__(self, pool: FunctionPool, n: int, horizon: int, mode: str = "average",
+                 seed: int = 0):
         if mode not in ("average", "sample"):
             raise ValueError(f"unknown hedge mode {mode!r}")
+        if n < 1:
+            raise ValueError("committee size must be >= 1")
         self.pool = pool
         self.mode = mode
+        self.deterministic = mode == "average"
+        self.output_bound = pool.output_bound
         self.rate = _hedge_rate(len(pool), horizon)
         self.weights = np.full((n, len(pool)), 1.0 / len(pool))
         self._rng = seeded_rng(seed, "hedgebank") if mode == "sample" else None
-        self._pred_eid = -2
-        self._preds: list | None = None
-        self._pending_eid = -2
-        self._pending_vals: np.ndarray | None = None
-        self._pending_g = np.zeros(n)
-        self._pending_any = False
 
-    def _flush(self) -> None:
-        if not self._pending_any:
-            return
+    def __len__(self) -> int:
+        return len(self.weights)
+
+    def predict(self, x: Example) -> list[float]:
+        vals = self.pool.values(x)
         w = self.weights
-        w *= np.exp(np.outer(-self.rate * self._pending_g, self._pending_vals))
-        w /= w.sum(axis=1, keepdims=True)
-        self._pending_g[:] = 0.0
-        self._pending_any = False
-
-    def predict(self, row: int, x: Example) -> float:
-        if x.eid != self._pred_eid:
-            self._flush()
-            vals = self.pool.values(x)
-            w = self.weights
-            if self.mode == "average":
-                self._preds = (w @ vals).tolist()
-            else:
-                cdf = np.cumsum(w, axis=1)
-                r = self._rng.random(len(w)) * cdf[:, -1]
-                idx = np.minimum((cdf < r[:, None]).sum(axis=1), len(vals) - 1)
-                self._preds = vals[idx].tolist()
-            self._pred_eid = x.eid
-        return self._preds[row]
-
-    def update(self, row: int, x: Example, g: float) -> None:
-        if x.eid != self._pending_eid:
-            self._flush()
-            self._pending_eid = x.eid
-            self._pending_vals = self.pool.values(x)
-        self._pending_g[row] += g
-        self._pending_any = True
-
-
-class BankedHedgeLearner(BaseLearner):
-    """One row of a shared hedge bank; behaves like ``HedgeLearner``."""
-
-    def __init__(self, bank: _HedgeBank, row: int):
-        super().__init__()
-        self.bank = bank
-        self.row = row
-        self.pool = bank.pool
-        self.output_bound = bank.pool.output_bound
-        self.deterministic = bank.mode == "average"
-
-    def predict(self, x: Example) -> float:
-        return self.bank.predict(self.row, x)
+        if self.mode == "average":
+            return (w @ vals).tolist()
+        cdf = np.cumsum(w, axis=1)
+        r = self._rng.random(len(w)) * cdf[:, -1]
+        idx = np.minimum((cdf < r[:, None]).sum(axis=1), len(vals) - 1)
+        return vals[idx].tolist()
 
     def update(self, x: Example, fb) -> None:
-        g = _unwrap_feedback(fb)
-        self.updates += 1
-        self.bank.update(self.row, x, g)
-
-    @property
-    def weights(self) -> np.ndarray:
-        self.bank._flush()
-        return self.bank.weights[self.row]
+        g = _feedback_vector(fb, len(self.weights))
+        w = self.weights
+        w *= np.exp(np.outer(-self.rate * g, self.pool.values(x)))
+        w /= w.sum(axis=1, keepdims=True)
 
 
 def hedge_committee(pool: FunctionPool, n: int, horizon: int, mode: str = "average",
-                    seed: int = 0) -> list[BankedHedgeLearner]:
-    """Build n hedge copies over one pool, backed by a shared bank.
+                    seed: int = 0) -> HedgeCommittee:
+    """Build a committee of n hedge copies over one pool.
 
     Functionally equivalent to n independent ``HedgeLearner`` copies with
     a known horizon, but the per-round weight work is vectorized across
     copies.  Use for booster stage committees on long streams.
     """
-    bank = _HedgeBank(pool, n, horizon, mode, seed)
-    return [BankedHedgeLearner(bank, i) for i in range(n)]
+    return HedgeCommittee(pool, n, horizon, mode, seed)
 
 
 class SymmetrizedLearner(BaseLearner):

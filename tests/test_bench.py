@@ -102,6 +102,19 @@ class TestParsing:
             assert a.features == b.features
             assert a.label == b.label
 
+    def test_round_trip_from_synthetic_stream(self, tmp_path):
+        # generated streams hold numpy scalars, unlike parsed ones
+        s1 = make_additive_stream(50, seed=0)
+        p = tmp_path / "additive.svm"
+        write_stream(s1, p)
+        s2 = parse_stream(p, "libsvm")
+        assert len(s2) == len(s1)
+        labels = np.array([ex.label for ex in s1.examples])
+        lo, hi = labels.min(), labels.max()
+        for a, b in zip(s1.examples, s2.examples):
+            assert b.features == a.features
+            assert b.label == pytest.approx(-1.0 + 2.0 * (a.label - lo) / (hi - lo), abs=1e-12)
+
     def test_replay_determinism(self, tmp_path):
         pool = make_region_pool(4)
         stream, _ = planted_span_stream(pool, [0.2, -0.2, 0.2, -0.2], 0.01, 200, seed=3)
@@ -300,8 +313,8 @@ class TestProgressiveValidation:
 
                 def bad_update(x, trace, loss):
                     out = orig(x, trace, loss)
-                    for lrn in booster.learners:
-                        lrn.bank.weights[:] = 1.0 / lrn.bank.weights.shape[1]
+                    for committee in booster.learners:
+                        committee.weights[:] = 1.0 / committee.weights.shape[1]
                     return out
 
                 booster.update = bad_update

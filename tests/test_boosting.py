@@ -12,11 +12,19 @@ from ogboost.learners import (
     GreedyFitLearner,
     HedgeLearner,
     OnlineGradientLearner,
+    StumpLearner,
     greedy_adapter,
     hedge_committee,
+    stump_committee,
 )
 from ogboost.boosting import HullBooster, ScalingConfig, SpanBooster, auto_eta, scale_wrap
-from ogboost.bench import make_region_pool, planted_span_stream, progressive_validate
+from ogboost.bench import (
+    Stream,
+    make_additive_stream,
+    make_region_pool,
+    planted_span_stream,
+    progressive_validate,
+)
 
 
 class ConstLearner:
@@ -436,3 +444,34 @@ class TestDeterminism:
             m = progressive_validate(stream, b)
             losses.append(m.test_losses.tobytes())
         assert losses[0] == losses[1]
+
+
+class TestCommitteeMatchesCopies:
+    """A stage committee is one learner; it must equal independent copies,
+    also on examples built without an id (the ``Example`` default)."""
+
+    @staticmethod
+    def _without_ids(stream):
+        return Stream([Example(ex.features, ex.label) for ex in stream.examples],
+                      stream.loss_class)
+
+    def test_stump_committee_on_idless_examples(self):
+        stream = self._without_ids(make_additive_stream(300, seed=8))
+        n = 5
+        committee = progressive_validate(stream, SpanBooster(SQ, stump_committee(n)))
+        copies = progressive_validate(stream, SpanBooster(SQ, [StumpLearner() for _ in range(n)]))
+        assert np.array_equal(committee.test_losses, copies.test_losses)
+
+    def test_hedge_committee_on_idless_examples(self):
+        pool = make_region_pool(4)
+        planted, _ = planted_span_stream(pool, [0.4, -0.4, 0.4, -0.4], 0.02, 300, seed=9)
+        stream = self._without_ids(planted)
+        sym = pool.symmetrized()
+        n = 4
+        committee = progressive_validate(stream, HullBooster(SQ, hedge_committee(sym, n, 300)))
+        copies = progressive_validate(
+            stream, HullBooster(SQ, [HedgeLearner(sym, horizon=300) for _ in range(n)]))
+        np.testing.assert_allclose(committee.test_losses, copies.test_losses,
+                                   rtol=0, atol=1e-12)
+        # the committee learns: later losses differ from a frozen first round
+        assert committee.report_loss < committee.tune_loss

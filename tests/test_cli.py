@@ -71,6 +71,28 @@ class TestRunArtifacts:
             bare.update(ex, loss.gradient(0.0) / lip)
         assert summary["total_loss"] == pytest.approx(total, abs=1e-9)
 
+    @pytest.mark.parametrize("scale", [1.0, 2.0])
+    def test_stump_committee_run_equals_independent_copies(self, capsys, tmp_path, scale):
+        code, out, err = _run([
+            "run", "--algo", "span", "--stages", "5", "--base", "stump", "--lr", "0.5",
+            "--scale", str(scale), "--synthetic", "additive", "--rounds", "400",
+            "--seed", "2", "--out-dir", str(tmp_path), "--tag", "committee"], capsys)
+        assert code == 0
+        summary = json.loads((tmp_path / "committee.json").read_text())
+
+        from ogboost import bench, boosting
+        from ogboost.cli import _write_run_tsv, build_stream
+        from ogboost.learners import StumpLearner
+        cfg = RunConfig(synthetic="additive", rounds=400, seed=2, out_dir=str(tmp_path))
+        stream, comp, pool = build_stream(cfg)
+        copies = [boosting.scale_wrap(StumpLearner(1.0, 0.5), scale) for _ in range(5)]
+        booster = boosting.SpanBooster(stream.loss_class, copies, None, scale)
+        metrics = bench.progressive_validate(stream, booster)
+        assert summary["report_loss"] == metrics.report_loss
+        _write_run_tsv(tmp_path / "copies.tsv", metrics)
+        assert ((tmp_path / "committee.tsv").read_text()
+                == (tmp_path / "copies.tsv").read_text())
+
     def test_auto_eta_echoed(self, capsys, tmp_path):
         code, out, err = _run([
             "run", "--algo", "span", "--stages", "16", "--rounds", "200",

@@ -51,6 +51,17 @@ class TestFeedbackContract:
         assert lrn.updates == 1
 
 
+    @pytest.mark.parametrize("make", [lambda: stump_committee(2),
+                                      lambda: hedge_committee(_const_pool([0.3, -0.3]), 2, 10)])
+    def test_committee_checks_every_stage_feedback(self, make):
+        committee = make()
+        ex = _ex({0: 1.0}, eid=0)
+        committee.update(ex, [-1.0 - 0.5e-9, 1.0 + 0.5e-9])  # within FEEDBACK_TOL
+        for bad in ([0.5, 1.5], [math.nan, 0.0], [0.5]):
+            with pytest.raises(ValueError):
+                committee.update(ex, bad)
+
+
 class TestOnlineGradientLearner:
     def test_zero_weights_predict_zero(self):
         assert OnlineGradientLearner().predict(_ex({0: 3.0, 7: -1.0})) == 0.0
@@ -140,19 +151,27 @@ class TestStumpLearner:
         n_feats = len(lrn.w)
         assert cum <= 0.0 + 3.0 * n_feats * math.sqrt(rounds)
 
-    def test_committee_matches_independent_copies(self):
+    @pytest.mark.parametrize("source", ["additive", "sparse-wide"])
+    def test_committee_matches_independent_copies(self, source):
         rng = np.random.default_rng(10)
-        stream = make_additive_stream(400, seed=5)
+        if source == "additive":  # values +-1
+            rows = [ex.features for ex in make_additive_stream(400, seed=5).examples]
+        else:  # magnitudes up to 2 grow each feature's range, so clips bind
+            rows = [{int(k): float(rng.uniform(-2, 2)) for k in rng.choice(12, 4, replace=False)}
+                    for _ in range(400)]
         n = 4
         singles = [StumpLearner() for _ in range(n)]
-        bank = stump_committee(n)
-        gs = rng.uniform(-1, 1, size=(len(stream), n))
-        for t, (ex, _) in enumerate(stream):
+        committee = stump_committee(n)
+        gs = rng.uniform(-1, 1, size=(len(rows), n))
+        for t, feats in enumerate(rows):
+            # features listed highest id first, so argmin ties are not in dict order
+            ex = _ex(dict(sorted(feats.items(), reverse=True)), eid=t)
+            preds = committee.predict(ex)
             for i in range(n):
-                assert bank[i].predict(ex) == singles[i].predict(ex)
+                assert preds[i] == singles[i].predict(ex)
             for i in range(n):
                 singles[i].update(ex, float(gs[t, i]))
-                bank[i].update(ex, float(gs[t, i]))
+            committee.update(ex, gs[t])
 
 
 def _const_pool(values):
@@ -215,17 +234,18 @@ class TestHedgeLearner:
             return FunctionPool([(lambda x, _j=j: float(rows[x.eid][_j])) for j in range(m)])
 
         singles = [HedgeLearner(build_pool(), horizon=rounds) for _ in range(n)]
-        bank = hedge_committee(build_pool(), n, horizon=rounds)
+        committee = hedge_committee(build_pool(), n, horizon=rounds)
         gs = rng.uniform(-1, 1, size=(rounds, n))
         for t in range(rounds):
             ex = _ex({0: 1.0}, eid=t)
+            preds = committee.predict(ex)
             for i in range(n):
                 a = singles[i].predict(ex)
-                b = bank[i].predict(ex)
+                b = preds[i]
                 assert a == pytest.approx(b, abs=1e-12)
             for i in range(n):
                 singles[i].update(ex, float(gs[t, i]))
-                bank[i].update(ex, float(gs[t, i]))
+            committee.update(ex, gs[t])
 
 
 class TestSymmetrize:
