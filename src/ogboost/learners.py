@@ -447,6 +447,7 @@ class StumpCommittee:
         feats = x.features
         if not feats:
             return
+        # StumpLearner.update's operations in its order, so results match bit for bit
         rows = np.array(self._rows(feats))
         v = np.fromiter(feats.values(), float, len(feats))
         t = self.steps.take(rows) + 1.0
