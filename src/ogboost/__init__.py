@@ -8,7 +8,6 @@ from .learners import (
     GreedyFitLearner,
     GreedyStepAdapter,
     HedgeLearner,
-    LinearFeedback,
     LowerBoundPool,
     OnlineGradientLearner,
     StumpLearner,
@@ -19,7 +18,7 @@ from .learners import (
     stump_committee,
     symmetrize,
 )
-from .boosting import HullBooster, ScalingConfig, SpanBooster, auto_eta, scale_wrap
+from .boosting import HullBooster, SpanBooster, auto_eta, scale_wrap
 from .batch import (
     BatchIterate,
     BatchObjective,

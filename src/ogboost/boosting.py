@@ -16,9 +16,12 @@ base learner sees unit-Lipschitz linear losses.
 The stages are one committee (see ``ogboost.learners``): a round makes one
 committee ``predict`` for all N stage predictions and one ``update`` with
 all N feedbacks.  A plain list of learners is wrapped in a committee that
-calls them one by one; ``booster.learners`` is then ``[committee]``.  Only
-greedy-offset stages, whose offsets are the sequential partial sums, stay
-a list called stage by stage.
+calls them one by one; ``booster.learners`` is then ``[committee]``.
+Greedy-offset stages (``GreedyFitLearner``, ``GreedyStepAdapter``) predict
+without an offset, so they run through the same round; their update takes
+the round's partial sums y^0 .. y^{N-1} as offsets, plus the true loss, in
+place of the feedbacks.  A booster finds out from its stage learners which
+update they take.
 
 A booster instance owns its learners and is single-threaded; independent
 instances may run in parallel.
@@ -55,6 +58,12 @@ class _LearnerList:
     """Committee protocol over independent stage learners, called one by one."""
 
     def __init__(self, learners: list):
+        if not learners:
+            raise ValueError("need at least one base learner")
+        kinds = {getattr(lrn, "greedy_offsets", False) for lrn in learners}
+        if len(kinds) > 1:
+            raise ValueError("stage learners mix greedy-offset and linear-feedback updates")
+        self.greedy_offsets = kinds.pop()
         self.learners = learners
         self.deterministic = all(getattr(lrn, "deterministic", False) for lrn in learners)
 
@@ -64,26 +73,20 @@ class _LearnerList:
     def predict(self, x: Example) -> list:
         return [lrn.predict(x) for lrn in self.learners]
 
-    def update(self, x: Example, feedbacks: list) -> None:
-        for lrn, fb in zip(self.learners, feedbacks):
-            lrn.update(x, fb)
+    def update(self, x: Example, per_stage: list, *loss: LossInstance) -> None:
+        """Stage i gets ``per_stage[i]``: its feedback, or its offset and ``loss``."""
+        for lrn, v in zip(self.learners, per_stage):
+            lrn.update(x, v, *loss)
 
 
 class _BoosterBase:
-    def __init__(self, learners, greedy_offsets: bool = False):
+    def __init__(self, learners):
+        committee = learners
         if isinstance(learners, (list, tuple)):
-            if not learners:
-                raise ValueError("need at least one base learner")
             committee = _LearnerList(list(learners))
-        elif greedy_offsets:
-            raise ValueError("greedy offsets need a list of stage learners")
-        else:
-            committee = learners
         self.stages = len(committee)
-        self.greedy_offsets = greedy_offsets
-        # One committee, called once per round.  Greedy stages take their own
-        # offsets, which are sequential, so they stay one learner per stage.
-        self.learners = committee.learners if greedy_offsets else [committee]
+        self.greedy_offsets = getattr(committee, "greedy_offsets", False)
+        self.learners = [committee]  # one committee, called once per round
         self.round = 0
         self._pending: int | None = None
 
@@ -104,8 +107,7 @@ class _BoosterBase:
     def _update_learners(self, x: Example, sums: list, loss: LossInstance,
                          feedbacks: list) -> None:
         if self.greedy_offsets:
-            for lrn, y_prev in zip(self.learners, sums):
-                lrn.update(x, y_prev, loss)
+            self.learners[0].update(x, sums[:-1], loss)
         else:
             self.learners[0].update(x, feedbacks)
 
@@ -129,9 +131,8 @@ class SpanBooster(_BoosterBase):
     """
 
     def __init__(self, loss_class: LossClass, learners: list, eta: float | None = None,
-                 output_bound: float = 1.0, deterministic_mode: bool = False,
-                 greedy_offsets: bool = False):
-        super().__init__(learners, greedy_offsets)
+                 output_bound: float = 1.0, deterministic_mode: bool = False):
+        super().__init__(learners)
         n = self.stages
         self.eta = auto_eta(n) if eta is None else float(eta)
         if not (1.0 / n - 1e-12 <= self.eta <= 1.0 + 1e-12):
@@ -158,26 +159,18 @@ class SpanBooster(_BoosterBase):
         radius = self.radius
         y: Vector = 0.0
         sums = [y]
-        if self.greedy_offsets:
-            arms = []
-            for s, lrn in zip(self.shrink, self.learners):
-                a = lrn.predict(x, y)
-                arms.append(a)
-                y = project_to_ball((1.0 - s * eta) * y + eta * a, radius)
-                sums.append(y)
-        else:
-            arms = self.learners[0].predict(x)
-            for s, a in zip(self.shrink, arms):
-                y = (1.0 - s * eta) * y + eta * a
-                # scalar fast path of project_to_ball
-                if type(y) is float:
-                    if y > radius:
-                        y = radius
-                    elif y < -radius:
-                        y = -radius
-                else:
-                    y = project_to_ball(y, radius)
-                sums.append(y)
+        arms = self.learners[0].predict(x)
+        for s, a in zip(self.shrink, arms):
+            y = (1.0 - s * eta) * y + eta * a
+            # scalar fast path of project_to_ball
+            if type(y) is float:
+                if y > radius:
+                    y = radius
+                elif y < -radius:
+                    y = -radius
+            else:
+                y = project_to_ball(y, radius)
+            sums.append(y)
         return y, RoundTrace(rid, sums, arms)
 
     def update(self, x: Example, trace: RoundTrace, loss: LossInstance) -> list[float]:
@@ -210,9 +203,8 @@ class HullBooster(_BoosterBase):
     bare base learner fed the normalized gradient at zero.
     """
 
-    def __init__(self, loss_class: LossClass, learners: list, output_bound: float = 1.0,
-                 greedy_offsets: bool = False):
-        super().__init__(learners, greedy_offsets)
+    def __init__(self, loss_class: LossClass, learners: list, output_bound: float = 1.0):
+        super().__init__(learners)
         self.loss_class = loss_class
         self.output_bound = output_bound
         params = loss_class.ball_params(output_bound)
@@ -226,18 +218,10 @@ class HullBooster(_BoosterBase):
         rid = self._open_round()
         y: Vector = 0.0
         sums = [y]
-        if self.greedy_offsets:
-            arms = []
-            for w, lrn in zip(self.stage_weights, self.learners):
-                a = lrn.predict(x, y)
-                arms.append(a)
-                y = (1.0 - w) * y + w * a
-                sums.append(y)
-        else:
-            arms = self.learners[0].predict(x)
-            for w, a in zip(self.stage_weights, arms):
-                y = (1.0 - w) * y + w * a
-                sums.append(y)
+        arms = self.learners[0].predict(x)
+        for w, a in zip(self.stage_weights, arms):
+            y = (1.0 - w) * y + w * a
+            sums.append(y)
         return y, RoundTrace(rid, sums, arms)
 
     def update(self, x: Example, trace: RoundTrace, loss: LossInstance) -> list[float]:
@@ -289,22 +273,3 @@ def scale_wrap(learner, scale: float) -> ScaledLearner:
     """Scale a base learner's predictions by a factor >= 1."""
     return ScaledLearner(learner, scale)
 
-
-@dataclass(frozen=True, slots=True)
-class ScalingConfig:
-    """Derived quantities for running the span booster over a scaled class."""
-
-    scale: float
-    radius: float  # working radius solved on the scaled ball
-
-    @staticmethod
-    def solve(loss_class: LossClass, scale: float, eta: float, stages: int,
-              output_bound: float = 1.0) -> "ScalingConfig":
-        if scale < 1.0:
-            raise ValueError(f"scaling factor must be >= 1, got {scale}")
-        radius = loss_class.solve_ball_radius(eta, stages, scale * output_bound)
-        return ScalingConfig(scale, radius)
-
-    def scaled_norm1(self, norm1: float) -> float:
-        """Comparator 1-norm measured against the scaled class."""
-        return max(1.0, norm1 / self.scale)

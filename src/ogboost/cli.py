@@ -53,7 +53,6 @@ class RunConfig:
     base: str = "ogd"
     symmetrize: bool = False
     scale: float = 1.0
-    greedy_offsets: bool = False
     corollary_mode: bool = False
     data: str | None = None
     format: str = "libsvm"
@@ -93,12 +92,8 @@ class RunConfig:
             errs.append(f"--base must be one of ogd, stump, hedge-pool, greedy, got {self.base!r}")
         if self.scale < 1.0:
             errs.append(f"--scale must be >= 1, got {self.scale}")
-        if self.base == "greedy" and not self.greedy_offsets:
-            errs.append("--base greedy requires --greedy-offsets")
-        if self.greedy_offsets and self.base != "greedy":
-            errs.append("--greedy-offsets requires --base greedy")
-        if self.greedy_offsets and (self.symmetrize or self.scale > 1.0):
-            errs.append("--greedy-offsets cannot be combined with --symmetrize or --scale")
+        if self.base == "greedy" and (self.symmetrize or self.scale > 1.0):
+            errs.append("--base greedy cannot be combined with --symmetrize or --scale")
         if self.symmetrize and self.base == "hedge-pool":
             errs.append("--base hedge-pool committees already include negations and the "
                         "zero function; drop --symmetrize")
@@ -182,14 +177,14 @@ def build_learners(cfg: RunConfig, stream, pool, loss_class):
     else:  # greedy
         if pool is None:
             raise ValueError("--base greedy requires a synthetic pool stream")
-        committee = pool.symmetrized()
         if cfg.algo == "span":
             eta = boosting.auto_eta(n) if cfg.eta == "auto" else float(cfg.eta)
             offset_bound = loss_class.solve_ball_radius(eta, n, 1.0)
         else:
             offset_bound = 1.0
         params = loss_class.ball_params(offset_bound + 1.0)  # offsets plus unit step reach
-        stage = [learners.greedy_adapter(learners.GreedyFitLearner(committee), horizon,
+        sym = pool.symmetrized()
+        stage = [learners.greedy_adapter(learners.GreedyFitLearner(sym), horizon,
                                          params, offset_bound=offset_bound)
                  for _ in range(n)]
     if cfg.symmetrize:
@@ -207,14 +202,11 @@ def execute_run(cfg: RunConfig) -> dict:
     output_bound = cfg.scale  # D = 1 scaled up by the wrapper
     if cfg.algo == "span":
         booster = boosting.SpanBooster(stream.loss_class, stage, eta, output_bound,
-                                       deterministic_mode=cfg.corollary_mode,
-                                       greedy_offsets=cfg.greedy_offsets)
+                                       deterministic_mode=cfg.corollary_mode)
     else:
-        booster = boosting.HullBooster(stream.loss_class, stage, output_bound,
-                                       greedy_offsets=cfg.greedy_offsets)
-    metrics = bench.progressive_validate(
-        stream, booster, cfg.split, comparator=comp,
-        committee=committee if not cfg.greedy_offsets else None)
+        booster = boosting.HullBooster(stream.loss_class, stage, output_bound)
+    metrics = bench.progressive_validate(stream, booster, cfg.split, comparator=comp,
+                                         committee=committee)
 
     summary: dict = {
         "config": asdict(cfg),
@@ -231,7 +223,7 @@ def execute_run(cfg: RunConfig) -> dict:
         summary["comparator"] = {"kind": comp.kind, "norm1": comp.norm1,
                                  "total_loss": comp.total_loss(stream)}
         summary["measured_regret"] = metrics.measured_regret()
-        if committee is not None and not cfg.greedy_offsets:
+        if committee is not None:
             base_regret = metrics.max_stage_regret()
             horizon = metrics.rounds
             if cfg.algo == "span":
@@ -425,8 +417,6 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
                    help="wrap the base learner to compete with negations too")
     p.add_argument("--scale", type=float, default=1.0,
                    help="prediction scaling factor lambda >= 1")
-    p.add_argument("--greedy-offsets", action="store_true",
-                   help="pass partial-sum offsets and true losses to the base learners")
     p.add_argument("--corollary-mode", action="store_true",
                    help="deterministic-learner mode: working radius eta*N*D")
     p.add_argument("--data", default=None, help="dataset path (omit for synthetic)")

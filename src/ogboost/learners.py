@@ -15,7 +15,9 @@ was y -> g . y.  Implementations:
 * ``symmetrize`` -- Hedge mixture of a learner, its negation-trained twin
   and the zero arm, extending the comparator class with negations.
 * ``GreedyFitLearner`` / ``greedy_adapter`` -- a follow-the-leader fitter
-  that consumes the true loss at an offset instead of linear feedback.
+  that consumes the true loss at an offset instead of linear feedback.  Both
+  carry the class marker ``greedy_offsets``, from which a booster learns
+  that its stages update on offsets.
 
 A booster runs N copies of one learner that all see the same example, so
 a stage committee is one object with two calls per round: ``predict(x)``
@@ -32,7 +34,7 @@ own disjoint copies.
 from __future__ import annotations
 
 import math
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
@@ -42,14 +44,8 @@ from .losses import BallParams, LossInstance
 FEEDBACK_TOL = 1e-9
 
 
-class LinearFeedback(NamedTuple):
-    """Gradient of a round's linear loss y -> g . y, with ||g|| <= 1."""
-
-    g: Vector
-
-
-def _unwrap_feedback(fb) -> Vector:
-    g = fb.g if type(fb) is LinearFeedback else fb
+def _check_feedback(g: Vector) -> Vector:
+    """The gradient g of a round's linear loss y -> g . y, checked for ||g|| <= 1."""
     if type(g) is float:
         if -1.0 - FEEDBACK_TOL <= g <= 1.0 + FEEDBACK_TOL:
             return g
@@ -60,7 +56,7 @@ def _unwrap_feedback(fb) -> Vector:
 
 
 def _feedback_vector(fb, n: int) -> np.ndarray:
-    """A committee's n scalar stage feedbacks, checked as ``_unwrap_feedback`` does."""
+    """A committee's n scalar stage feedbacks, checked as ``_check_feedback`` does."""
     g = np.asarray(fb, dtype=float)
     if g.shape != (n,):
         raise ValueError(f"expected {n} stage feedbacks, got shape {g.shape}")
@@ -97,9 +93,14 @@ class BaseLearner:
 class FunctionPool:
     """A finite list of bounded functions Example -> R.
 
-    Values are memoized per example id so that repeated queries within a
-    round (one per boosting stage) cost a single evaluation sweep.
+    ``values`` memoizes the value vector of the last example object it was
+    given, so that the queries of one round (stage predict, stage update,
+    accounting) cost a single evaluation sweep, with or without an example
+    id.  Subclasses supply the sweep in ``_evaluate``.
     """
+
+    _memo_x: Example | None = None
+    _memo_vals: np.ndarray | None = None
 
     def __init__(self, members: list[Callable[[Example], float]], output_bound: float = 1.0,
                  names: list[str] | None = None):
@@ -109,20 +110,17 @@ class FunctionPool:
         self.output_bound = output_bound
         self.names = names or [f"g{i}" for i in range(len(members))]
 
-        self._cache_eid = -2
-        self._cache_vals: np.ndarray | None = None
-
     def __len__(self) -> int:
         return len(self.members)
 
     def values(self, x: Example) -> np.ndarray:
-        if x.eid >= 0 and x.eid == self._cache_eid:
-            return self._cache_vals
-        vals = np.array([m(x) for m in self.members], dtype=float)
-        if x.eid >= 0:
-            self._cache_eid = x.eid
-            self._cache_vals = vals
-        return vals
+        if x is not self._memo_x:
+            self._memo_vals = self._evaluate(x)
+            self._memo_x = x
+        return self._memo_vals
+
+    def _evaluate(self, x: Example) -> np.ndarray:
+        return np.array([m(x) for m in self.members], dtype=float)
 
     def symmetrized(self) -> "FunctionPool":
         """Pool closed under negation and containing the zero function."""
@@ -133,22 +131,16 @@ class _SymmetrizedPool(FunctionPool):
     """Negation closure of a base pool: [zero, members..., -members...]."""
 
     def __init__(self, base: FunctionPool):
-        members = ([lambda x: 0.0]
-                   + list(base.members)
-                   + [(lambda m: (lambda x: -m(x)))(m) for m in base.members])
-        names = ["zero"] + base.names + [f"-{n}" for n in base.names]
-        super().__init__(members, base.output_bound, names)
         self._base = base
+        self.output_bound = base.output_bound
+        self.names = ["zero"] + base.names + [f"-{n}" for n in base.names]
 
-    def values(self, x: Example) -> np.ndarray:
-        if x.eid >= 0 and x.eid == self._cache_eid:
-            return self._cache_vals
+    def __len__(self) -> int:
+        return 1 + 2 * len(self._base)
+
+    def _evaluate(self, x: Example) -> np.ndarray:
         v = self._base.values(x)
-        out = np.concatenate(([0.0], v, -v))
-        if x.eid >= 0:
-            self._cache_eid = x.eid
-            self._cache_vals = out
-        return out
+        return np.concatenate(([0.0], v, -v))
 
 
 class LowerBoundPool(FunctionPool):
@@ -170,8 +162,6 @@ class LowerBoundPool(FunctionPool):
         self.names = [f"b{i}" for i in range(size)]
         self._rows: dict[int, np.ndarray] = {}
         self.members = [self._member(i) for i in range(size)]
-        self._cache_eid = -2
-        self._cache_vals = None
 
     def _member(self, i: int):
         def f(x: Example, _i=i) -> float:
@@ -250,7 +240,7 @@ class OnlineGradientLearner(BaseLearner):
         return s
 
     def update(self, x: Example, fb) -> None:
-        g = _unwrap_feedback(fb)
+        g = _check_feedback(fb)
         self.updates += 1
         self._t += 1
         xnorm2 = 0.0
@@ -350,7 +340,7 @@ class StumpLearner(BaseLearner):
         return s
 
     def update(self, x: Example, fb) -> None:
-        g = _unwrap_feedback(fb)
+        g = _check_feedback(fb)
         self.updates += 1
         D = self.output_bound
         step_scale = self.lr_scale * D
@@ -479,6 +469,34 @@ def _hedge_rate(pool_size: int, horizon: int) -> float:
     return math.sqrt(8.0 * math.log(max(pool_size, 2)) / max(horizon, 1))
 
 
+class _HedgeSchedule:
+    """Learning rate of multiplicative weights over m arms.
+
+    A known horizon T fixes the rate at ``_hedge_rate(m, T)``.  Without one,
+    the doubling schedule runs epochs of 16, 32, 64, ... updates, each at
+    ``_hedge_rate(m, epoch length)`` and from uniform weights.
+    """
+
+    def __init__(self, m: int, horizon: int | None):
+        self.m = m
+        self.doubling = horizon is None
+        self.epoch = 16 if horizon is None else horizon
+        self.t = 0
+        self.rate = _hedge_rate(m, self.epoch)
+
+    def step(self) -> bool:
+        """Count one update; True when it ends an epoch and the weights restart."""
+        if not self.doubling:
+            return False
+        self.t += 1
+        if self.t < self.epoch:
+            return False
+        self.epoch *= 2
+        self.t = 0
+        self.rate = _hedge_rate(self.m, self.epoch)
+        return True
+
+
 class HedgeLearner(BaseLearner):
     """Multiplicative weights over a finite function pool.
 
@@ -487,12 +505,12 @@ class HedgeLearner(BaseLearner):
     is the behavior the adversarial lower-bound stream is built against.
     Weights are updated after the round's loss is observed, multiplying
     member j by exp(-rate * g . f_j(x)) and renormalizing.  With a known
-    horizon the rate is sqrt(8 ln M / T); otherwise a doubling schedule
-    restarts the weights with a halved rate as the horizon estimate grows.
+    horizon the rate is sqrt(8 ln M / T); otherwise the doubling schedule of
+    ``_HedgeSchedule`` restarts the weights at the end of each epoch.
     """
 
     def __init__(self, pool: FunctionPool, horizon: int | None = None,
-                 mode: str = "average", seed: int = 0, rate: float | None = None):
+                 mode: str = "average", seed: int = 0):
         super().__init__()
         if mode not in ("average", "sample"):
             raise ValueError(f"unknown hedge mode {mode!r}")
@@ -503,24 +521,13 @@ class HedgeLearner(BaseLearner):
         self.horizon = horizon
         self.seed = seed
         self._rng = seeded_rng(seed, "hedge") if mode == "sample" else None
-        self._rate_arg = rate
         m = len(pool)
         self.weights = np.full(m, 1.0 / m)
-        if rate is not None:
-            self.rate = rate
-            self._doubling = False
-        elif horizon is not None:
-            self.rate = _hedge_rate(m, horizon)
-            self._doubling = False
-        else:
-            self._epoch_len = 16
-            self._epoch_t = 0
-            self.rate = _hedge_rate(m, self._epoch_len)
-            self._doubling = True
+        self.schedule = _HedgeSchedule(m, horizon)
 
     def clone(self, tag: int = 0) -> "HedgeLearner":
         return HedgeLearner(self.pool, self.horizon, self.mode,
-                            seed=self.seed + 7919 * (tag + 1), rate=self._rate_arg)
+                            seed=self.seed + 7919 * (tag + 1))
 
     def predict(self, x: Example) -> float:
         vals = self.pool.values(x)
@@ -533,23 +540,17 @@ class HedgeLearner(BaseLearner):
         return float(vals[j])
 
     def update(self, x: Example, fb) -> None:
-        g = _unwrap_feedback(fb)
+        g = _check_feedback(fb)
         self.updates += 1
         vals = self.pool.values(x)
         w = self.weights
-        w *= np.exp((-self.rate * g) * vals)
+        w *= np.exp((-self.schedule.rate * g) * vals)
         total = w.sum()
-        if total <= 0 or not np.isfinite(total):
+        # step first: every update counts toward the epoch
+        if self.schedule.step() or total <= 0 or not np.isfinite(total):
             w[:] = 1.0 / len(w)
         else:
             w /= total
-        if self._doubling:
-            self._epoch_t += 1
-            if self._epoch_t >= self._epoch_len:
-                self._epoch_len *= 2
-                self._epoch_t = 0
-                self.rate = _hedge_rate(len(w), self._epoch_len)
-                w[:] = 1.0 / len(w)
 
 
 class HedgeCommittee:
@@ -627,14 +628,7 @@ class SymmetrizedLearner(BaseLearner):
         self.deterministic = inner.deterministic
         self.horizon = horizon
         self.mix = np.full(3, 1.0 / 3.0)
-        if horizon is not None:
-            self.rate = _hedge_rate(3, horizon)
-            self._doubling = False
-        else:
-            self._epoch_len = 16
-            self._epoch_t = 0
-            self.rate = _hedge_rate(3, self._epoch_len)
-            self._doubling = True
+        self.schedule = _HedgeSchedule(3, horizon)
         self._last: tuple[int, float, float] | None = None
 
     def clone(self, tag: int = 0) -> "SymmetrizedLearner":
@@ -650,7 +644,7 @@ class SymmetrizedLearner(BaseLearner):
         return m[0] * a[0] + m[1] * a[1] + m[2] * a[2]
 
     def update(self, x: Example, fb) -> None:
-        g = _unwrap_feedback(fb)
+        g = _check_feedback(fb)
         self.updates += 1
         if self._last is not None and self._last[0] == x.eid:
             a_pos, a_neg = self._last[1], self._last[2]
@@ -659,15 +653,12 @@ class SymmetrizedLearner(BaseLearner):
         # arm losses normalized to [-1, 1] by the output bound
         D = self.output_bound
         losses = np.array([g * a_pos / D, g * a_neg / D, 0.0])
-        self.mix *= np.exp(-self.rate * losses)
-        self.mix /= self.mix.sum()
-        if self._doubling:
-            self._epoch_t += 1
-            if self._epoch_t >= self._epoch_len:
-                self._epoch_len *= 2
-                self._epoch_t = 0
-                self.rate = _hedge_rate(3, self._epoch_len)
-                self.mix[:] = 1.0 / 3.0
+        mix = self.mix
+        mix *= np.exp(-self.schedule.rate * losses)
+        if self.schedule.step():
+            mix[:] = 1.0 / 3.0
+        else:
+            mix /= mix.sum()
         self.pos.update(x, g)
         self.neg.update(x, -g)
         self._last = None
@@ -692,6 +683,7 @@ class GreedyFitLearner:
     """
 
     deterministic = True
+    greedy_offsets = True
 
     def __init__(self, pool: FunctionPool, alpha: float = 0.0):
         if alpha < 0:
@@ -702,10 +694,7 @@ class GreedyFitLearner:
         self.cum = np.zeros(len(pool))
         self.updates = 0
 
-    def clone(self, tag: int = 0) -> "GreedyFitLearner":
-        return GreedyFitLearner(self.pool, self.alpha)
-
-    def predict(self, x: Example, offset: Vector = 0.0) -> float:
+    def predict(self, x: Example) -> float:
         vals = self.pool.values(x)
         return float(vals[int(np.argmin(self.cum))])
 
@@ -726,11 +715,12 @@ class GreedyStepAdapter:
       regret_model="alpha-linear": alpha = 2 R(T) / (beta' D^2 T)
 
     where beta' is the loss smoothness on the enlarged ball reached by
-    offset + alpha * prediction.  Offsets beyond ``offset_bound`` are a
-    contract violation and raise.
+    offset + alpha * prediction.  An update offset beyond ``offset_bound``
+    is a contract violation and raises.
     """
 
     deterministic = True
+    greedy_offsets = True
 
     def __init__(self, inner: GreedyFitLearner, horizon: int, smooth_params: BallParams,
                  offset_bound: float, regret_model: str = "sqrt",
@@ -757,26 +747,14 @@ class GreedyStepAdapter:
             self.alpha = 2.0 * r / denom
         inner.alpha = self.alpha
 
-    def clone(self, tag: int = 0) -> "GreedyStepAdapter":
-        fresh = GreedyStepAdapter.__new__(GreedyStepAdapter)
-        fresh.__dict__.update(self.__dict__)
-        fresh.inner = self.inner.clone(tag)
-        fresh.inner.alpha = self.alpha
-        fresh.updates = 0
-        return fresh
+    def predict(self, x: Example) -> float:
+        return self.inner.predict(x)
 
-    def _check_offset(self, offset: Vector) -> None:
+    def update(self, x: Example, offset: Vector, loss: LossInstance) -> None:
         if vnorm(offset) > self.offset_bound + FEEDBACK_TOL:
             raise ValueError(
                 f"offset norm {vnorm(offset):.6g} exceeds declared bound {self.offset_bound}"
             )
-
-    def predict(self, x: Example, offset: Vector = 0.0) -> float:
-        self._check_offset(offset)
-        return self.inner.predict(x, offset)
-
-    def update(self, x: Example, offset: Vector, loss: LossInstance) -> None:
-        self._check_offset(offset)
         self.updates += 1
         self.inner.update(x, offset, loss)
 

@@ -17,7 +17,7 @@ from ogboost.learners import (
     hedge_committee,
     stump_committee,
 )
-from ogboost.boosting import HullBooster, ScalingConfig, SpanBooster, auto_eta, scale_wrap
+from ogboost.boosting import HullBooster, SpanBooster, auto_eta, scale_wrap
 from ogboost.bench import (
     Stream,
     make_additive_stream,
@@ -327,12 +327,6 @@ class TestScaleWrap:
         hedge_bound = 2.0 * math.sqrt(rounds * math.log(m))
         assert cum <= lam * float(member.min()) + lam * hedge_bound
 
-    def test_scaling_config(self):
-        cfg = ScalingConfig.solve(SQ, 2.0, 0.5, 8, 1.0)
-        assert cfg.radius == 2.0  # squared family: penalty vanishes at D' = 2
-        assert cfg.scaled_norm1(3.0) == 1.5
-        assert cfg.scaled_norm1(1.0) == 1.0
-
 
 class TestGreedyOffsets:
     def test_booster_passes_partial_sums_as_offsets(self):
@@ -340,24 +334,29 @@ class TestGreedyOffsets:
 
         class Recorder:
             deterministic = True
+            greedy_offsets = True
             output_bound = 1.0
             updates = 0
 
-            def predict(self, x, offset=0.0):
-                received.append(("p", offset))
+            def predict(self, x):
                 return 0.5
 
             def update(self, x, offset, loss):
-                received.append(("u", offset))
+                received.append(offset)
 
-        b = SpanBooster(SQ, [Recorder(), Recorder()], eta=0.5, greedy_offsets=True)
+        b = SpanBooster(SQ, [Recorder(), Recorder()], eta=0.5)
         ex = _ex()
         y, tr = b.predict(ex)
         b.update(ex, tr, SQ.make(0.5))
-        offs_pred = [o for tag, o in received if tag == "p"]
-        offs_upd = [o for tag, o in received if tag == "u"]
-        assert offs_pred == tr.partial_sums[:2]
-        assert offs_upd == tr.partial_sums[:2]
+        assert received == tr.partial_sums[:2]
+
+    @pytest.mark.parametrize("booster", [SpanBooster, HullBooster])
+    def test_mixed_greedy_and_linear_stages_rejected(self, booster):
+        pool = FunctionPool([lambda x: 0.5, lambda x: -0.5])
+        params = SQ.ball_params(2.0)
+        greedy = greedy_adapter(GreedyFitLearner(pool), 10, params, offset_bound=1.0)
+        with pytest.raises(ValueError, match="mix greedy-offset and linear-feedback"):
+            booster(SQ, [greedy, OnlineGradientLearner()])
 
     def test_adapter_inside_hull_booster(self):
         rng = np.random.default_rng(15)
@@ -368,7 +367,7 @@ class TestGreedyOffsets:
         params = SQ.ball_params(2.0)
         ads = [greedy_adapter(GreedyFitLearner(pool), rounds, params, offset_bound=1.0)
                for _ in range(3)]
-        b = HullBooster(SQ, ads, greedy_offsets=True)
+        b = HullBooster(SQ, ads)
         for t in range(rounds):
             ex = Example({0: 1.0}, float(np.clip(vals[t, 0], -1, 1)), eid=t)
             loss = SQ.make(ex.label)

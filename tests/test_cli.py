@@ -36,9 +36,9 @@ class TestValidation:
         assert "--eta" in err and "--algo" in err and "--loss" in err and "--split" in err
 
     def test_greedy_flag_pairing(self):
-        cfg = RunConfig(base="greedy")
+        cfg = RunConfig(base="greedy", symmetrize=True)
         assert any("greedy" in e for e in cfg.validate())
-        cfg = RunConfig(greedy_offsets=True)
+        cfg = RunConfig(base="greedy", scale=2.0)
         assert any("greedy" in e for e in cfg.validate())
 
     def test_every_flag_maps_to_config_field(self):
@@ -195,7 +195,7 @@ class TestModeFlags:
     def test_greedy_offsets_run(self, capsys, tmp_path):
         code, out, err = _run([
             "run", "--algo", "ch", "--stages", "3", "--base", "greedy",
-            "--greedy-offsets", "--synthetic", "planted-hull", "--rounds", "200",
+            "--synthetic", "planted-hull", "--rounds", "200",
             "--out-dir", str(tmp_path), "--tag", "greedy"], capsys)
         assert code == 0
         summary = json.loads((tmp_path / "greedy.json").read_text())

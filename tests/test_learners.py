@@ -11,9 +11,9 @@ from ogboost.learners import (
     FunctionPool,
     GreedyFitLearner,
     HedgeLearner,
-    LinearFeedback,
     OnlineGradientLearner,
     StumpLearner,
+    _hedge_rate,
     greedy_adapter,
     hedge_committee,
     make_lower_bound_pool,
@@ -44,11 +44,6 @@ class TestFeedbackContract:
         lrn = OnlineGradientLearner()
         with pytest.raises(ValueError):
             lrn.update(_ex({0: 1.0}), 1.5)
-
-    def test_wrapper_accepted(self):
-        lrn = OnlineGradientLearner()
-        lrn.update(_ex({0: 1.0}), LinearFeedback(-1.0))
-        assert lrn.updates == 1
 
 
     @pytest.mark.parametrize("make", [lambda: stump_committee(2),
@@ -213,9 +208,17 @@ class TestHedgeLearner:
 
     def test_doubling_mode_runs_without_horizon(self):
         pool = _const_pool([0.3, -0.3])
+        m = len(pool)
         lrn = HedgeLearner(pool)
-        for t in range(100):
+        assert lrn.schedule.rate == _hedge_rate(m, 16)
+        restarts = {16: 32, 48: 64}  # update count -> length of the epoch it starts
+        for t in range(1, 101):
             lrn.update(_ex({0: 1.0}, eid=t), 0.5)
+            if t in restarts:
+                np.testing.assert_array_equal(lrn.weights, 1.0 / m)
+                assert lrn.schedule.rate == _hedge_rate(m, restarts[t])
+            else:
+                assert lrn.weights[0] < lrn.weights[1]
         assert lrn.updates == 100
 
     def test_sample_mode_emits_pool_values(self):
@@ -246,6 +249,21 @@ class TestHedgeLearner:
             for i in range(n):
                 singles[i].update(ex, float(gs[t, i]))
             committee.update(ex, gs[t])
+
+    def test_committee_round_evaluates_pool_once_without_ids(self):
+        calls = []
+
+        def member(x):
+            calls.append(x)
+            return x.features[0]
+
+        committee = hedge_committee(FunctionPool([member]).symmetrized(), 3, horizon=50)
+        rounds = 50
+        for t in range(rounds):
+            ex = _ex({0: 0.5 + t / 100})  # no example id
+            committee.predict(ex)
+            committee.update(ex, [0.5, -0.5, 0.25])
+        assert len(calls) / rounds == 1.0
 
 
 class TestSymmetrize:
@@ -359,7 +377,7 @@ class TestGreedyAdapter:
         params = LossClass("squared").ball_params(2.0)
         ad = greedy_adapter(GreedyFitLearner(pool), 100, params, offset_bound=1.0)
         with pytest.raises(ValueError):
-            ad.predict(_ex({0: 1.0}, eid=0), offset=1.5)
+            ad.update(_ex({0: 1.0}, eid=0), 1.5, LossClass("squared").make(0.2))
 
     def test_zero_alpha_degenerate(self):
         pool = _const_pool([0.5, -0.5])
@@ -369,7 +387,7 @@ class TestGreedyAdapter:
         assert ad.alpha == 0.0
         lc = LossClass("squared")
         ex = _ex({0: 1.0}, eid=0)
-        p = ad.predict(ex, 0.5)
+        p = ad.predict(ex)
         assert abs(p) <= pool.output_bound
         ad.update(ex, 0.5, lc.make(0.2))  # loss independent of the prediction
         np.testing.assert_allclose(ad.inner.cum, ad.inner.cum[0])
@@ -399,7 +417,7 @@ class TestGreedyAdapter:
             ex = _ex({0: 1.0}, eid=t)
             inst = lc.make(float(labels[t]))
             y0 = float(offsets[t])
-            pred = ad.predict(ex, y0)
+            pred = ad.predict(ex)
             grad = inst.gradient(y0)
             lin_self += grad * pred
             lin_member += grad * member_vals[t]
