@@ -99,6 +99,7 @@ class FunctionPool:
     id.  Subclasses supply the sweep in ``_evaluate``.
     """
 
+    # class-level defaults: subclasses that skip __init__ still start with an empty memo
     _memo_x: Example | None = None
     _memo_vals: np.ndarray | None = None
 
