@@ -77,10 +77,14 @@ class ComparatorSpec:
     coefficients: np.ndarray | None = None
     norm1: float = 1.0
 
-    def total_loss(self, stream: Stream) -> float:
+    def losses(self, stream: Stream) -> np.ndarray:
+        """The comparator's loss on each round of the stream."""
         make = stream.loss_class.make
-        return float(sum(make(ex.label).evaluate(v)
-                         for ex, v in zip(stream.examples, self.values)))
+        return np.array([make(ex.label).evaluate(float(v))
+                         for ex, v in zip(stream.examples, self.values)])
+
+    def total_loss(self, stream: Stream) -> float:
+        return float(sum(self.losses(stream)))
 
 
 def zero_comparator(length: int) -> ComparatorSpec:
@@ -110,8 +114,8 @@ def parse_stream(path: str | Path, fmt: str, label_range: tuple[float, float] = 
 
     Labels are affinely rescaled so the observed [min, max] maps onto
     ``label_range`` (idempotent when the data already fills the range).
-    Malformed lines are rejected with their line number.  Explicit zero
-    feature values are dropped.
+    Malformed lines and non-finite labels or values are rejected with their
+    line number.  Explicit zero feature values are dropped.
     """
     path = Path(path)
     if fmt not in ("libsvm", "csv"):
@@ -125,6 +129,16 @@ def parse_stream(path: str | Path, fmt: str, label_range: tuple[float, float] = 
     labels: list[float] = []
     feats: list[dict[int, float]] = []
     names: list[str] = []
+
+    def parse_label(ln: int, tok: str) -> float:
+        # checked here: a non-finite label would corrupt the rescale of every other label
+        try:
+            label = float(tok)
+        except ValueError:
+            raise StreamFormatError(f"{path}:{ln}: non-numeric label {tok!r}") from None
+        if not math.isfinite(label):
+            raise StreamFormatError(f"{path}:{ln}: non-finite label: {label!r}")
+        return label
 
     lines = text.splitlines()
     if fmt == "csv":
@@ -140,10 +154,7 @@ def parse_stream(path: str | Path, fmt: str, label_range: tuple[float, float] = 
             if len(parts) != len(header):
                 raise StreamFormatError(
                     f"{path}:{ln}: expected {len(header)} fields, got {len(parts)}")
-            try:
-                labels.append(float(parts[0]))
-            except ValueError:
-                raise StreamFormatError(f"{path}:{ln}: non-numeric label {parts[0]!r}") from None
+            labels.append(parse_label(ln, parts[0]))
             row: dict[int, float] = {}
             for fid, tok in zip(ids, parts[1:]):
                 try:
@@ -160,10 +171,7 @@ def parse_stream(path: str | Path, fmt: str, label_range: tuple[float, float] = 
             if not line:
                 continue
             toks = line.split()
-            try:
-                labels.append(float(toks[0]))
-            except ValueError:
-                raise StreamFormatError(f"{path}:{ln}: non-numeric label {toks[0]!r}") from None
+            labels.append(parse_label(ln, toks[0]))
             row = {}
             for tok in toks[1:]:
                 idx, _, val = tok.partition(":")
@@ -179,7 +187,14 @@ def parse_stream(path: str | Path, fmt: str, label_range: tuple[float, float] = 
             feats.append(row)
 
     labels = _rescale(labels, label_range)
-    examples = [Example(f, l, eid=i).validate() for i, (f, l) in enumerate(zip(feats, labels))]
+    examples = []
+    for i, (f, l) in enumerate(zip(feats, labels)):
+        try:
+            examples.append(Example(f, l, eid=i).validate())
+        except ValueError as e:
+            # example i is the i-th non-blank line after the csv header
+            ln = [n for n, line in enumerate(lines, start=1) if line.strip()][i + (fmt == "csv")]
+            raise StreamFormatError(f"{path}:{ln}: {e}") from None
     return Stream(examples, loss_class, source=str(path),
                   meta={"format": fmt, "label_range": label_range, "names": names})
 
@@ -224,9 +239,7 @@ class RegionPool(FunctionPool):
     """
 
     def __init__(self, n_members: int = 8):
-        members = [self._member(k) for k in range(n_members)]
-        super().__init__(members, output_bound=1.0,
-                         names=[f"region{k}" for k in range(n_members)])
+        super().__init__([self._member(k) for k in range(n_members)], output_bound=1.0)
         self.n_members = n_members
 
     @staticmethod
@@ -389,7 +402,7 @@ def _loss_derivs(stream: Stream, preds: np.ndarray) -> np.ndarray:
                      for ex, p in zip(stream.examples, preds)])
 
 
-def best_convex_hull_oracle(stream: Stream, pool: FunctionPool, uniform: bool = False,
+def best_convex_hull_oracle(stream: Stream, pool: FunctionPool,
                             gap_tol_scale: float = 1e-6, max_iter: int = 4000
                             ) -> tuple[np.ndarray, float]:
     """Best fixed convex combination of pool members, in hindsight.
@@ -397,17 +410,12 @@ def best_convex_hull_oracle(stream: Stream, pool: FunctionPool, uniform: bool = 
     Solves min over the simplex of the stream's total loss by Frank-Wolfe
     (exact line search for the squared family) until the duality gap falls
     below gap_tol_scale * T, and cross-checks against projected gradient
-    descent.  With ``uniform=True`` the uniform average is returned
-    directly, which is the intended comparator for the lower-bound stream.
+    descent.
     """
     m = len(pool)
-    if uniform:
-        values = np.array([float(np.mean(pool.values(ex))) for ex in stream.examples])
-        total = _total_loss(stream, values)
-        return np.full(m, 1.0 / m), total
     if m > 64:
         raise ValueError(f"pool too large for the offline oracle ({m} > 64); "
-                         "request the uniform comparator instead")
+                         "use uniform_pool_comparator instead")
     if stream.loss_class.family not in ("linear", "p_norm", "modified_least_squares",
                                         "logistic", "squared"):
         raise ValueError("offline oracle requires a convex loss family")
@@ -576,11 +584,7 @@ def progressive_validate(stream: Stream, booster, split: float = 0.5,
             cum_pred += fb_arr * np.asarray(trace.arms)
             cum_member += np.outer(fb_arr, committee.values(ex))
 
-    comp_losses = None
-    if comparator is not None:
-        make = stream.loss_class.make
-        comp_losses = np.array([make(ex.label).evaluate(float(v))
-                                for ex, v in zip(stream.examples, comparator.values)])
+    comp_losses = comparator.losses(stream) if comparator is not None else None
     return RunMetrics(test_losses, split, comp_losses, cum_pred, cum_member)
 
 

@@ -304,9 +304,11 @@ def lower_bound_once(stages: int, seed: int, pool_scale: float, rounds: int | No
     t = len(stream)
     stage = learners.hedge_committee(pool, stages, t, mode="sample", seed=seed)
     booster = boosting.HullBooster(stream.loss_class, stage)
+    metrics = bench.progressive_validate(stream, booster)
+    # after the loop: the comparator reads the row means the run recorded, so no row is drawn twice
     comp = bench.uniform_pool_comparator(stream, pool)
-    metrics = bench.progressive_validate(stream, booster, comparator=comp)
-    comp_total = comp.total_loss(stream)
+    metrics.comparator_losses = comp.losses(stream)
+    comp_total = float(sum(metrics.comparator_losses))
     return {
         "seed": seed,
         "rounds": t,

@@ -32,8 +32,9 @@ class Example:
     """One stream element: sparse features plus an optional true label.
 
     ``features`` maps feature id to value and must not contain explicit
-    zeros.  ``eid`` is the example's position in its stream; memoizing
-    function pools key their draws on it.
+    zeros.  ``eid`` is the example's position in its stream.  Stochastic
+    function pools seed their draws with it, so a draw can be made again
+    instead of kept; pool memos key on the example object, not on ``eid``.
     """
 
     features: dict[int, float]

@@ -103,13 +103,11 @@ class FunctionPool:
     _memo_x: Example | None = None
     _memo_vals: np.ndarray | None = None
 
-    def __init__(self, members: list[Callable[[Example], float]], output_bound: float = 1.0,
-                 names: list[str] | None = None):
+    def __init__(self, members: list[Callable[[Example], float]], output_bound: float = 1.0):
         if not members:
             raise ValueError("function pool must contain at least one member")
         self.members = members
         self.output_bound = output_bound
-        self.names = names or [f"g{i}" for i in range(len(members))]
 
     def __len__(self) -> int:
         return len(self.members)
@@ -134,7 +132,6 @@ class _SymmetrizedPool(FunctionPool):
     def __init__(self, base: FunctionPool):
         self._base = base
         self.output_bound = base.output_bound
-        self.names = ["zero"] + base.names + [f"-{n}" for n in base.names]
 
     def __len__(self) -> int:
         return 1 + 2 * len(self._base)
@@ -148,10 +145,11 @@ class LowerBoundPool(FunctionPool):
     """Pool of stochastic indicator functions used by the adversarial stream.
 
     Member i at example t takes value 1 with probability equal to the
-    example's label and 0 otherwise.  Draws are memoized per (member,
-    example id, seed): the whole row of M draws for an example is generated
-    once from an RNG keyed by (seed, eid) and cached, so the same "function"
-    is consistent across booster stages and repeated queries.
+    example's label and 0 otherwise.  The row of M draws for an example is
+    a pure function of (seed, example id): it comes from an RNG keyed by
+    both, so every stage and every repeated query sees the same "function"
+    without rows being kept.  The pool holds only the shared memo's current
+    row and the mean of each row drawn, which ``mean_value`` returns.
     """
 
     def __init__(self, size: int, seed: int):
@@ -160,35 +158,26 @@ class LowerBoundPool(FunctionPool):
         self.size = size
         self.seed = seed
         self.output_bound = 1.0
-        self.names = [f"b{i}" for i in range(size)]
-        self._rows: dict[int, np.ndarray] = {}
-        self.members = [self._member(i) for i in range(size)]
+        self._means: dict[int, float] = {}
 
-    def _member(self, i: int):
-        def f(x: Example, _i=i) -> float:
-            return float(self.row(x)[_i])
+    def __len__(self) -> int:
+        return self.size
 
-        return f
-
-    def row(self, x: Example) -> np.ndarray:
+    def _evaluate(self, x: Example) -> np.ndarray:
         if x.eid < 0:
             raise ValueError("lower-bound pool requires examples with an id")
-        cached = self._rows.get(x.eid)
-        if cached is not None:
-            return cached
         if x.label is None:
             raise ValueError("lower-bound pool requires labeled examples")
         rng = seeded_rng(self.seed, "lbpool", x.eid)
-        row = (rng.random(self.size) < x.label).astype(np.float64)
-        self._rows[x.eid] = row
-        return row
-
-    def values(self, x: Example) -> np.ndarray:
-        return self.row(x)
+        draws = rng.random(self.size) < x.label
+        self._means[x.eid] = np.count_nonzero(draws) / self.size
+        return draws.astype(np.float64)
 
     def mean_value(self, x: Example) -> float:
         """Value of the uniform average of all pool members at ``x``."""
-        return float(self.row(x).mean())
+        if x.eid not in self._means:
+            self.values(x)
+        return self._means[x.eid]
 
 
 def make_lower_bound_pool(stages: int, seed: int, pool_scale: float = 1.0 / 4000.0) -> LowerBoundPool:
@@ -630,7 +619,7 @@ class SymmetrizedLearner(BaseLearner):
         self.horizon = horizon
         self.mix = np.full(3, 1.0 / 3.0)
         self.schedule = _HedgeSchedule(3, horizon)
-        self._last: tuple[int, float, float] | None = None
+        self._last: tuple[Example, float, float] | None = None
 
     def clone(self, tag: int = 0) -> "SymmetrizedLearner":
         return SymmetrizedLearner(self.pos.clone(tag=2 * tag + 2), self.horizon)
@@ -640,14 +629,14 @@ class SymmetrizedLearner(BaseLearner):
 
     def predict(self, x: Example) -> float:
         a = self.arm_outputs(x)
-        self._last = (x.eid, a[0], a[1])
+        self._last = (x, a[0], a[1])
         m = self.mix
         return m[0] * a[0] + m[1] * a[1] + m[2] * a[2]
 
     def update(self, x: Example, fb) -> None:
         g = _check_feedback(fb)
         self.updates += 1
-        if self._last is not None and self._last[0] == x.eid:
+        if self._last is not None and self._last[0] is x:
             a_pos, a_neg = self._last[1], self._last[2]
         else:
             a_pos, a_neg, _ = self.arm_outputs(x)

@@ -1,6 +1,7 @@
 """Harness: parsing, synthetic streams, oracles, progressive validation."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -56,6 +57,24 @@ class TestParsing:
         q.write_text("1 3:0.5\n0.5 7:\n")
         with pytest.raises(StreamFormatError, match=":2:"):
             parse_stream(q, "libsvm")
+
+    @pytest.mark.parametrize("fmt, text, where", [
+        ("libsvm", "0.5 1:1\n-0.5 1:2\ninf 1:3\n0.25 1:4\n", "3: non-finite label"),
+        ("libsvm", "0.5 1:1\n\n-0.5 1:nan 2:1\n", "3: non-finite feature"),
+        ("csv", "label,a\n0.5,1\n-0.5,2\ninf,3\n0.25,4\n", "4: non-finite label"),
+        ("csv", "label,a\n0.5,1\n\n-0.5,nan\n", "4: non-finite feature"),
+    ], ids=["libsvm-label", "libsvm-feature", "csv-label", "csv-feature"])
+    def test_non_finite_values_cite_line(self, tmp_path, fmt, text, where):
+        p = tmp_path / f"d.{fmt}"
+        p.write_text(text)
+        with pytest.raises(StreamFormatError, match=re.escape(f"{p}:{where}")):
+            parse_stream(p, fmt)
+
+    def test_label_that_overflows_the_rescale_cites_line(self, tmp_path):
+        p = tmp_path / "d.svm"
+        p.write_text("-1.7e308 1:1\n1e308 1:2\n1.7e308 1:3\n")
+        with pytest.raises(StreamFormatError, match=re.escape(f"{p}:2: non-finite label")):
+            parse_stream(p, "libsvm")
 
     def test_empty_file(self, tmp_path):
         p = tmp_path / "e.svm"
@@ -247,13 +266,6 @@ class TestOracles:
         zero_total = zero_comparator(len(stream)).total_loss(stream)
         assert hull_total <= single_total + 1e-9
         assert single_total <= zero_total + 1e-9
-
-    def test_uniform_mode_skips_optimization(self):
-        stream, pool = make_lower_bound_stream(1, None, seed=3, pool_scale=1 / 50)
-        w, total = best_convex_hull_oracle(stream, pool, uniform=True)
-        np.testing.assert_allclose(w, 1.0 / pool.size)
-        assert total == pytest.approx(uniform_pool_comparator(stream, pool)
-                                      .total_loss(stream))
 
     def test_large_pool_rejected(self):
         stream, pool = make_lower_bound_stream(2, None, seed=3, pool_scale=1 / 50)

@@ -1,6 +1,7 @@
 """Base learners: contracts, regret behavior, pools, wrappers."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -324,6 +325,25 @@ class TestSymmetrize:
         assert comp.mix[1] > comp.mix[0]
         assert comp.mix[1] > comp.mix[2]
 
+    def test_update_uses_arms_of_its_own_example_without_ids(self):
+        # every example without an id has eid -1, so arms cached by
+        # predict(a) must not be reused by update(b)
+        def warmed():
+            comp = symmetrize(OnlineGradientLearner(output_bound=1.0), horizon=50)
+            for _ in range(5):
+                ex = _ex({0: 1.0, 1: 0.5})
+                comp.predict(ex)
+                comp.update(ex, 0.8)
+            return comp
+
+        a, b = _ex({0: 1.0}), _ex({1: -1.0})
+        stale, twin = warmed(), warmed()
+        stale.predict(a)
+        stale.update(b, 0.9)
+        twin.predict(b)
+        twin.update(b, 0.9)
+        np.testing.assert_array_equal(stale.mix, twin.mix)
+
     def test_output_bound_preserved(self):
         pool = _const_pool([1.0, -1.0])
         comp = symmetrize(HedgeLearner(pool, horizon=10), horizon=10)
@@ -438,18 +458,32 @@ class TestLowerBoundPool:
 
     def test_degenerate_labels(self):
         pool = make_lower_bound_pool(1, seed=1, pool_scale=1 / 50)
-        ones = pool.row(_ex({0: 1.0}, label=1.0, eid=0))
-        zeros = pool.row(_ex({0: 2.0}, label=0.0, eid=1))
+        ones = pool.values(_ex({0: 1.0}, label=1.0, eid=0))
+        zeros = pool.values(_ex({0: 2.0}, label=0.0, eid=1))
         assert np.all(ones == 1.0)
         assert np.all(zeros == 0.0)
 
     def test_memoization_consistent(self):
         pool = make_lower_bound_pool(2, seed=5, pool_scale=1 / 50)
         ex = _ex({0: 1.0}, label=0.5, eid=7)
-        first = pool.row(ex).copy()
-        again = pool.row(ex)
-        np.testing.assert_array_equal(first, again)
-        assert pool.members[3](ex) == first[3]
+        first = pool.values(ex).copy()
+        np.testing.assert_array_equal(pool.values(ex), first)
+        # once another example has taken the memo, a new object with the
+        # same id and label is drawn again, to the same row
+        pool.values(_ex({0: 1.0}, label=0.5, eid=8))
+        np.testing.assert_array_equal(pool.values(_ex({0: 1.0}, label=0.5, eid=7)), first)
+        assert pool.mean_value(ex) == float(first.mean())
+
+    def test_rows_are_not_kept(self):
+        pool = make_lower_bound_pool(1, seed=2)  # M = 4000: one float64 row is 32 KB
+        tracemalloc.start()
+        try:
+            for t in range(1000):
+                pool.values(_ex({0: 1.0}, label=0.5, eid=t))
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert held < 10 * 4000 * 8
 
     def test_empirical_mean_concentrates(self):
         # binomial oracle: with n = 4000, p = 0.55 the mean deviates from p
