@@ -15,6 +15,7 @@ from .learners import (
     greedy_adapter,
     hedge_committee,
     make_lower_bound_pool,
+    ogd_committee,
     stump_committee,
     symmetrize,
 )

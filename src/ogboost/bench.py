@@ -108,6 +108,79 @@ def _rescale(labels: list[float], label_range: tuple[float, float]) -> list[floa
             for l in labels]
 
 
+# the characters of plain numbers; deleting them leaves " : : ..." of a plain libsvm line
+_NUMBER_CHARS = str.maketrans("", "", "0123456789.+-eE")
+
+
+def _parse_label(path: Path, ln: int, tok: str) -> float:
+    # checked here: a non-finite label would corrupt the rescale of every other label
+    try:
+        label = float(tok)
+    except ValueError:
+        raise StreamFormatError(f"{path}:{ln}: non-numeric label {tok!r}") from None
+    if not math.isfinite(label):
+        raise StreamFormatError(f"{path}:{ln}: non-finite label: {label!r}")
+    return label
+
+
+def _check_row(path: Path, ln: int, row: dict[int, float]) -> None:
+    """Raise at the row's first non-finite value, in the words of ``Example.validate``."""
+    if not all(map(math.isfinite, row.values())):
+        try:
+            Example(row).validate()
+        except ValueError as e:
+            raise StreamFormatError(f"{path}:{ln}: {e}") from None
+
+
+class _FeatureIds(dict):
+    """``int`` of each feature-id string, converted once per file."""
+
+    def __missing__(self, tok: str) -> int:
+        k = self[tok] = int(tok)
+        return k
+
+
+def _plain_libsvm_line(line: str, ids: _FeatureIds) -> tuple[float, dict[int, float]] | None:
+    """A line of single-spaced plain numbers, all finite and nonzero; else None.
+
+    One split and a few C-level passes parse it.  Any other line, blank or
+    malformed included, returns None and is parsed token by token.
+    """
+    m = line.count(":")
+    if line.translate(_NUMBER_CHARS) != " :" * m:
+        return None
+    parts = line.replace(":", " ").split(" ")
+    try:
+        label = float(parts[0])
+        vals = list(map(float, parts[2::2]))
+        row = dict(zip(map(ids.__getitem__, parts[1::2]), vals))
+    except ValueError:
+        return None
+    if 0.0 in vals or not math.isfinite(label) or not all(map(math.isfinite, vals)):
+        return None
+    return label, row
+
+
+def _libsvm_line(path: Path, ln: int, line: str) -> tuple[float, dict[int, float]]:
+    """A non-blank libsvm line parsed token by token, raising at its first fault."""
+    toks = line.split()
+    label = _parse_label(path, ln, toks[0])
+    row: dict[int, float] = {}
+    for tok in toks[1:]:
+        idx, _, val = tok.partition(":")
+        if not val:
+            raise StreamFormatError(f"{path}:{ln}: malformed pair {tok!r}")
+        try:
+            k = int(idx)
+            v = float(val)
+        except ValueError:
+            raise StreamFormatError(f"{path}:{ln}: malformed pair {tok!r}") from None
+        if v != 0.0:
+            row[k] = v
+    _check_row(path, ln, row)
+    return label, row
+
+
 def parse_stream(path: str | Path, fmt: str, label_range: tuple[float, float] = (-1.0, 1.0),
                  loss_class: LossClass | None = None) -> Stream:
     """Parse a dataset file into a stream.
@@ -120,8 +193,8 @@ def parse_stream(path: str | Path, fmt: str, label_range: tuple[float, float] = 
     path = Path(path)
     if fmt not in ("libsvm", "csv"):
         raise StreamFormatError(f"unknown format {fmt!r} (choose libsvm or csv)")
-    text = path.read_text()
-    if not text.strip():
+    lines = path.read_text().splitlines()  # the text itself is not kept
+    if not any(map(str.strip, lines)):
         raise StreamFormatError(f"{path}: empty file")
     if loss_class is None:
         loss_class = LossClass("squared", label_range=label_range)
@@ -130,17 +203,6 @@ def parse_stream(path: str | Path, fmt: str, label_range: tuple[float, float] = 
     feats: list[dict[int, float]] = []
     names: list[str] = []
 
-    def parse_label(ln: int, tok: str) -> float:
-        # checked here: a non-finite label would corrupt the rescale of every other label
-        try:
-            label = float(tok)
-        except ValueError:
-            raise StreamFormatError(f"{path}:{ln}: non-numeric label {tok!r}") from None
-        if not math.isfinite(label):
-            raise StreamFormatError(f"{path}:{ln}: non-finite label: {label!r}")
-        return label
-
-    lines = text.splitlines()
     if fmt == "csv":
         header = lines[0].split(",")
         if len(header) < 2 or header[0].strip().lower() != "label":
@@ -154,7 +216,7 @@ def parse_stream(path: str | Path, fmt: str, label_range: tuple[float, float] = 
             if len(parts) != len(header):
                 raise StreamFormatError(
                     f"{path}:{ln}: expected {len(header)} fields, got {len(parts)}")
-            labels.append(parse_label(ln, parts[0]))
+            labels.append(_parse_label(path, ln, parts[0]))
             row: dict[int, float] = {}
             for fid, tok in zip(ids, parts[1:]):
                 try:
@@ -164,37 +226,26 @@ def parse_stream(path: str | Path, fmt: str, label_range: tuple[float, float] = 
                         f"{path}:{ln}: non-numeric feature value {tok!r}") from None
                 if v != 0.0:
                     row[fid] = v
+            _check_row(path, ln, row)
             feats.append(row)
     else:
+        ids = _FeatureIds()
         for ln, line in enumerate(lines, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            toks = line.split()
-            labels.append(parse_label(ln, toks[0]))
-            row = {}
-            for tok in toks[1:]:
-                idx, _, val = tok.partition(":")
-                if not val:
-                    raise StreamFormatError(f"{path}:{ln}: malformed pair {tok!r}")
-                try:
-                    k = int(idx)
-                    v = float(val)
-                except ValueError:
-                    raise StreamFormatError(f"{path}:{ln}: malformed pair {tok!r}") from None
-                if v != 0.0:
-                    row[k] = v
-            feats.append(row)
+            parsed = _plain_libsvm_line(line, ids)
+            if parsed is None:
+                if not line.strip():
+                    continue
+                parsed = _libsvm_line(path, ln, line)
+            labels.append(parsed[0])
+            feats.append(parsed[1])
 
     labels = _rescale(labels, label_range)
-    examples = []
-    for i, (f, l) in enumerate(zip(feats, labels)):
-        try:
-            examples.append(Example(f, l, eid=i).validate())
-        except ValueError as e:
-            # example i is the i-th non-blank line after the csv header
-            ln = [n for n, line in enumerate(lines, start=1) if line.strip()][i + (fmt == "csv")]
-            raise StreamFormatError(f"{path}:{ln}: {e}") from None
+    if not all(map(math.isfinite, labels)):  # the rescale can overflow
+        i = next(i for i, l in enumerate(labels) if not math.isfinite(l))
+        # example i is the i-th non-blank line after the csv header
+        ln = [n for n, line in enumerate(lines, start=1) if line.strip()][i + (fmt == "csv")]
+        raise StreamFormatError(f"{path}:{ln}: non-finite label: {labels[i]!r}")
+    examples = [Example(f, l, eid=i) for i, (f, l) in enumerate(zip(feats, labels))]
     return Stream(examples, loss_class, source=str(path),
                   meta={"format": fmt, "label_range": label_range, "names": names})
 
@@ -390,12 +441,6 @@ def _project_simplex(w: np.ndarray) -> np.ndarray:
     return np.maximum(w - theta, 0.0)
 
 
-def _total_loss(stream: Stream, preds: np.ndarray) -> float:
-    make = stream.loss_class.make
-    return float(sum(make(ex.label).evaluate(float(p))
-                     for ex, p in zip(stream.examples, preds)))
-
-
 def _loss_derivs(stream: Stream, preds: np.ndarray) -> np.ndarray:
     make = stream.loss_class.make
     return np.array([make(ex.label).gradient(float(p))
@@ -465,10 +510,13 @@ def best_convex_hull_oracle(stream: Stream, pool: FunctionPool,
             w = w_new
         return w
 
+    def total(w: np.ndarray) -> float:
+        return ComparatorSpec("best_convex_hull", V @ w, w).total_loss(stream)
+
     w_fw = fw()
-    total_fw = _total_loss(stream, V @ w_fw)
+    total_fw = total(w_fw)
     w_pg = pgd()
-    total_pg = _total_loss(stream, V @ w_pg)
+    total_pg = total(w_pg)
     if abs(total_fw - total_pg) > 1e-5 * max(T, 1):
         raise RuntimeError(
             f"oracle cross-check failed: frank-wolfe {total_fw:.6f} vs "

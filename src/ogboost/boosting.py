@@ -250,10 +250,6 @@ class ScaledLearner:
         self.scale = scale
         self.output_bound = scale * inner.output_bound
         self.deterministic = getattr(inner, "deterministic", False)
-        self.updates = 0
-
-    def clone(self, tag: int = 0) -> "ScaledLearner":
-        return ScaledLearner(self.inner.clone(tag), self.scale)
 
     def __len__(self) -> int:
         return len(self.inner)
@@ -265,7 +261,6 @@ class ScaledLearner:
         return self.scale * p
 
     def update(self, x: Example, fb) -> None:
-        self.updates += 1
         self.inner.update(x, fb)
 
 

@@ -162,13 +162,13 @@ def build_learners(cfg: RunConfig, stream, pool, loss_class):
     n = cfg.stages
     horizon = len(stream)
     committee = None
-    if cfg.base == "ogd":
-        stage = [learners.OnlineGradientLearner(1.0, cfg.lr) for _ in range(n)]
-    elif cfg.base == "stump":
+    if cfg.base in ("ogd", "stump"):
+        ogd = cfg.base == "ogd"
         if cfg.symmetrize:  # the wrapper needs one learner object per stage
-            stage = [learners.StumpLearner(1.0, cfg.lr) for _ in range(n)]
+            single = learners.OnlineGradientLearner if ogd else learners.StumpLearner
+            stage = [single(1.0, cfg.lr) for _ in range(n)]
         else:
-            stage = learners.stump_committee(n, 1.0, cfg.lr)
+            stage = (learners.ogd_committee if ogd else learners.stump_committee)(n, 1.0, cfg.lr)
     elif cfg.base == "hedge-pool":
         if pool is None:
             raise ValueError("--base hedge-pool requires a synthetic pool stream")

@@ -22,10 +22,10 @@ was y -> g . y.  Implementations:
 A booster runs N copies of one learner that all see the same example, so
 a stage committee is one object with two calls per round: ``predict(x)``
 returns the N stage predictions and ``update(x, feedbacks)`` takes the N
-stage feedbacks, checked once per round.  ``stump_committee`` and
-``hedge_committee`` keep the N copies' state in shared arrays and equal
-independent copies; a plain list of learners is run as a committee by the
-booster.
+stage feedbacks, checked once per round.  ``ogd_committee``,
+``stump_committee`` and ``hedge_committee`` keep the N copies' state in
+shared arrays and equal independent copies; a plain list of learners is
+run as a committee by the booster.
 
 Learner instances are single-threaded mutable state; independent boosters
 own disjoint copies.
@@ -364,19 +364,21 @@ class StumpLearner(BaseLearner):
             st[0] = new
 
 
-class StumpCommittee:
-    """N ``StumpLearner`` copies that see the same examples, run as one learner.
+class _SlotCommittee:
+    """N copies of a per-feature learner that see the same examples, run as one learner.
 
     ``predict`` returns the N stage predictions and ``update`` takes the N
     stage feedbacks; both equal those of independent copies bit for bit.
-    The copies share each feature's step count and value range, so those
-    are per-slot vectors, while weights and cumulative losses are dense
-    (slots x N) arrays.  A feature-id -> slot dict indexes the rows, which
-    grow by doubling, so a round costs a fixed number of numpy operations
-    however many features are present.
+    Per-feature state lives in dense arrays with one row per feature seen,
+    indexed by the feature-id -> slot dict ``slots``.  ``_STATE`` names each
+    array with the value of a fresh row and whether the row holds one value
+    per stage (a (slots x N) array) or one shared by all stages.  Rows grow
+    by doubling, so a round costs a fixed number of numpy operations however
+    many features are present.
     """
 
     deterministic = True
+    _STATE: dict[str, tuple[float, bool]] = {}
 
     def __init__(self, n: int, output_bound: float = 1.0, lr_scale: float = 1.0):
         if n < 1:
@@ -385,11 +387,9 @@ class StumpCommittee:
         self.output_bound = output_bound
         self.lr_scale = lr_scale
         self.slots: dict[int, int] = {}
-        self.w = np.zeros((8, n))
-        self.cum = np.zeros((8, n))
-        self.steps = np.zeros(8)
-        self.vmax = np.full(8, 1e-12)
-        self._cols = np.arange(n)
+        self._capacity = 8
+        for name, (fill, per_stage) in self._STATE.items():
+            setattr(self, name, np.full((8, n) if per_stage else 8, fill))
 
     def __len__(self) -> int:
         return self.n
@@ -403,12 +403,28 @@ class StumpCommittee:
 
     def _add(self, k: int) -> int:
         s = self.slots[k] = len(self.slots)
-        if s == len(self.steps):
-            def grow(a, fill):
-                return np.concatenate((a, np.full_like(a, fill)))
-            self.w, self.cum = grow(self.w, 0.0), grow(self.cum, 0.0)
-            self.steps, self.vmax = grow(self.steps, 0.0), grow(self.vmax, 1e-12)
+        if s == self._capacity:
+            self._capacity *= 2
+            for name, (fill, _) in self._STATE.items():
+                a = getattr(self, name)
+                setattr(self, name, np.concatenate((a, np.full_like(a, fill))))
         return s
+
+
+class StumpCommittee(_SlotCommittee):
+    """N ``StumpLearner`` copies run as one learner.
+
+    The copies share each feature's step count and value range, so those
+    are per-slot vectors, while weights and cumulative losses are dense
+    (slots x N) arrays.
+    """
+
+    _STATE = {"w": (0.0, True), "cum": (0.0, True), "steps": (0.0, False),
+              "vmax": (1e-12, False)}
+
+    def __init__(self, n: int, output_bound: float = 1.0, lr_scale: float = 1.0):
+        super().__init__(n, output_bound, lr_scale)
+        self._cols = np.arange(n)
 
     def predict(self, x: Example) -> list[float]:
         feats = x.features
@@ -453,6 +469,70 @@ class StumpCommittee:
 def stump_committee(n: int, output_bound: float = 1.0, lr_scale: float = 1.0) -> StumpCommittee:
     """Build a committee of n stump copies with dense shared state."""
     return StumpCommittee(n, output_bound, lr_scale)
+
+
+class OGDCommittee(_SlotCommittee):
+    """N ``OnlineGradientLearner`` copies run as one learner.
+
+    Weights are a dense (slots x N) array and each copy's squared weight
+    norm is an N-vector.  Every copy sees the same x, so the step count,
+    the largest feature norm and ||x|| are single scalars.
+    """
+
+    _STATE = {"w": (0.0, True)}
+
+    def __init__(self, n: int, output_bound: float = 1.0, lr_scale: float = 1.0):
+        super().__init__(n, output_bound, lr_scale)
+        self.norm2 = np.zeros(n)
+        self._gmax = 1e-12
+        self._t = 0
+
+    def predict(self, x: Example) -> list[float]:
+        feats = x.features
+        if not feats:
+            return [0.0] * self.n
+        rows = self._rows(feats)  # may grow self.w, so before reading it
+        prods = self.w.take(rows, 0)
+        prods *= np.fromiter(feats.values(), float, len(feats))[:, None]
+        # a running sum down the rows adds in the dict loop's order (sum() may pair terms)
+        s = np.add.accumulate(prods, axis=0, out=prods)[-1]
+        s += 0.0  # the loop starts from +0.0, so a sum of -0.0 terms reads +0.0
+        D = self.output_bound
+        return np.minimum(np.maximum(s, -D), D).tolist()
+
+    def update(self, x: Example, fb) -> None:
+        g = _feedback_vector(fb, self.n)
+        self._t += 1
+        feats = x.features
+        if not feats:
+            return
+        # OnlineGradientLearner.update's operations in its order, so results match bit for bit
+        v = np.fromiter(feats.values(), float, len(feats))
+        xnorm = math.sqrt(np.add.accumulate(v * v)[-1])
+        if xnorm > self._gmax:
+            self._gmax = xnorm
+        if xnorm == 0.0:
+            return
+        D = self.output_bound
+        step = self.lr_scale * D / (self._gmax * math.sqrt(self._t))
+        # a stage with zero feedback keeps its weights and adds exactly 0 to its norm
+        rows = np.array(self._rows(feats))
+        old = self.w.take(rows, 0)
+        new = old - (step * g) * v[:, None]
+        self.w[rows] = new
+        d = new * new - old * old
+        d[0] += self.norm2
+        norm2 = np.add.accumulate(d, axis=0, out=d)[-1]
+        over = norm2 > D * D
+        if over.any():
+            self.w[:, over] *= D / np.sqrt(norm2[over])
+            norm2[over] = D * D
+        self.norm2 = norm2
+
+
+def ogd_committee(n: int, output_bound: float = 1.0, lr_scale: float = 1.0) -> OGDCommittee:
+    """Build a committee of n online gradient descent copies with dense shared state."""
+    return OGDCommittee(n, output_bound, lr_scale)
 
 
 def _hedge_rate(pool_size: int, horizon: int) -> float:

@@ -58,6 +58,27 @@ class TestParsing:
         with pytest.raises(StreamFormatError, match=":2:"):
             parse_stream(q, "libsvm")
 
+    @pytest.mark.parametrize("line, error", [
+        ("1 3 :0.5", "malformed pair '3'"),
+        ("1 3: 0.5", "malformed pair '3:'"),
+        ("1:2 3 4:5", "non-numeric label '1:2'"),
+        ("1 3 4:5:6", "malformed pair '3'"),
+        ("1 3:0.5 1e999:2", "malformed pair '1e999:2'"),
+    ])
+    def test_misplaced_colons_cite_line(self, tmp_path, line, error):
+        # colon and number counts match a well-formed line; the token order does not
+        p = tmp_path / "d.svm"
+        p.write_text(f"-1 1:1\n{line}\n")
+        with pytest.raises(StreamFormatError, match=re.escape(f"{p}:2: {error}")):
+            parse_stream(p, "libsvm")
+
+    def test_irregular_spacing_zeros_and_repeated_ids(self, tmp_path):
+        p = tmp_path / "d.svm"
+        p.write_text("1\t3:0.5  7:1.2 \n-1 3:0 3:0.25 7:1 7:-0.0 9:1e-3\n")
+        s = parse_stream(p, "libsvm")
+        assert s.examples[0].features == {3: 0.5, 7: 1.2}
+        assert list(s.examples[1].features.items()) == [(3, 0.25), (7, 1.0), (9, 0.001)]
+
     @pytest.mark.parametrize("fmt, text, where", [
         ("libsvm", "0.5 1:1\n-0.5 1:2\ninf 1:3\n0.25 1:4\n", "3: non-finite label"),
         ("libsvm", "0.5 1:1\n\n-0.5 1:nan 2:1\n", "3: non-finite feature"),

@@ -15,6 +15,7 @@ from ogboost.learners import (
     StumpLearner,
     greedy_adapter,
     hedge_committee,
+    ogd_committee,
     stump_committee,
 )
 from ogboost.boosting import HullBooster, SpanBooster, auto_eta, scale_wrap
@@ -460,6 +461,16 @@ class TestCommitteeMatchesCopies:
         committee = progressive_validate(stream, SpanBooster(SQ, stump_committee(n)))
         copies = progressive_validate(stream, SpanBooster(SQ, [StumpLearner() for _ in range(n)]))
         assert np.array_equal(committee.test_losses, copies.test_losses)
+
+    @pytest.mark.parametrize("booster", [SpanBooster, HullBooster])
+    def test_ogd_committee_on_idless_examples(self, booster):
+        stream = self._without_ids(make_additive_stream(300, seed=8))
+        n = 5
+        committee = progressive_validate(stream, booster(SQ, ogd_committee(n)))
+        copies = progressive_validate(
+            stream, booster(SQ, [OnlineGradientLearner() for _ in range(n)]))
+        assert np.array_equal(committee.test_losses, copies.test_losses)
+        assert committee.report_loss < committee.tune_loss
 
     def test_hedge_committee_on_idless_examples(self):
         pool = make_region_pool(4)

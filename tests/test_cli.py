@@ -72,9 +72,10 @@ class TestRunArtifacts:
         assert summary["total_loss"] == pytest.approx(total, abs=1e-9)
 
     @pytest.mark.parametrize("scale", [1.0, 2.0])
-    def test_stump_committee_run_equals_independent_copies(self, capsys, tmp_path, scale):
+    @pytest.mark.parametrize("base", ["stump", "ogd"])
+    def test_committee_run_equals_independent_copies(self, capsys, tmp_path, base, scale):
         code, out, err = _run([
-            "run", "--algo", "span", "--stages", "5", "--base", "stump", "--lr", "0.5",
+            "run", "--algo", "span", "--stages", "5", "--base", base, "--lr", "0.5",
             "--scale", str(scale), "--synthetic", "additive", "--rounds", "400",
             "--seed", "2", "--out-dir", str(tmp_path), "--tag", "committee"], capsys)
         assert code == 0
@@ -82,10 +83,11 @@ class TestRunArtifacts:
 
         from ogboost import bench, boosting
         from ogboost.cli import _write_run_tsv, build_stream
-        from ogboost.learners import StumpLearner
+        from ogboost.learners import OnlineGradientLearner, StumpLearner
+        single = {"stump": StumpLearner, "ogd": OnlineGradientLearner}[base]
         cfg = RunConfig(synthetic="additive", rounds=400, seed=2, out_dir=str(tmp_path))
         stream, comp, pool = build_stream(cfg)
-        copies = [boosting.scale_wrap(StumpLearner(1.0, 0.5), scale) for _ in range(5)]
+        copies = [boosting.scale_wrap(single(1.0, 0.5), scale) for _ in range(5)]
         booster = boosting.SpanBooster(stream.loss_class, copies, None, scale)
         metrics = bench.progressive_validate(stream, booster)
         assert summary["report_loss"] == metrics.report_loss

@@ -2,11 +2,14 @@
 
 Each config runs progressive validation for T=400 rounds of one planted-hull
 stream and stores the sha256 of its ``test_losses`` bytes.  The configs cover
-both boosters over every stage kind: a list of OGD learners, the stump and
-Hedge committees, a list of ``HedgeLearner`` copies and of symmetrized OGD
+both boosters over every stage kind: a list of OGD learners, the OGD, stump
+and Hedge committees, a list of ``HedgeLearner`` copies and of symmetrized OGD
 learners (both on the doubling schedule, ``horizon=None``), a stump committee
 scaled by 2 and greedy-offset adapters.  Each also runs on the same examples
 without ids, the ``Example`` default, where pool memos cannot key on an id.
+
+The OGD committee must equal the list of OGD learners, so both kinds share
+their digests.
 
 A refactor must leave every digest unchanged.  A deliberate numeric change
 updates the digests and says why in CHANGES.md.
@@ -27,6 +30,7 @@ from ogboost.learners import (
     OnlineGradientLearner,
     greedy_adapter,
     hedge_committee,
+    ogd_committee,
     stump_committee,
     symmetrize,
 )
@@ -53,6 +57,8 @@ def _stages(kind: str, algo: str, pool):
     sym = pool.symmetrized()
     if kind == "ogd":
         return [OnlineGradientLearner() for _ in range(n)], 1.0, False
+    if kind == "ogd-committee":
+        return ogd_committee(n), 1.0, False
     if kind == "stump-committee":
         return stump_committee(n), 1.0, False
     if kind == "hedge-committee":
@@ -92,6 +98,8 @@ def trace_digest(algo: str, kind: str, with_ids: bool) -> str:
 GOLDEN = {
     "span/ogd/ids": "fc44919d41c464596dda8d086cb70e0c70bc753402ad1b2e8f1fe70c1fae41f5",
     "span/ogd/no-ids": "fc44919d41c464596dda8d086cb70e0c70bc753402ad1b2e8f1fe70c1fae41f5",
+    "span/ogd-committee/ids": "fc44919d41c464596dda8d086cb70e0c70bc753402ad1b2e8f1fe70c1fae41f5",
+    "span/ogd-committee/no-ids": "fc44919d41c464596dda8d086cb70e0c70bc753402ad1b2e8f1fe70c1fae41f5",
     "span/stump-committee/ids": "bc7fdf33e027531582c58492bfb8c2e07c230b46f750bc799fd3e09ff221257a",
     "span/stump-committee/no-ids": "bc7fdf33e027531582c58492bfb8c2e07c230b46f750bc799fd3e09ff221257a",
     "span/hedge-committee/ids": "da5116a1e337624b48ed87b28ad960bbeb81b62a137535280e2c9d2486162439",
@@ -106,6 +114,8 @@ GOLDEN = {
     "span/greedy/no-ids": "da74bd5016c83d9d950de0a56d4eabe446cb1458245d6923369a0d1345f95e49",
     "ch/ogd/ids": "87997a375a6437fe0e918bc5e60e8cda0cb338dce2458abf8cb7ede1825d57b1",
     "ch/ogd/no-ids": "87997a375a6437fe0e918bc5e60e8cda0cb338dce2458abf8cb7ede1825d57b1",
+    "ch/ogd-committee/ids": "87997a375a6437fe0e918bc5e60e8cda0cb338dce2458abf8cb7ede1825d57b1",
+    "ch/ogd-committee/no-ids": "87997a375a6437fe0e918bc5e60e8cda0cb338dce2458abf8cb7ede1825d57b1",
     "ch/stump-committee/ids": "c068d76e6099e603f48cce3c9096b22ae5bcfaaa03467dc773f8653429a3208e",
     "ch/stump-committee/no-ids": "c068d76e6099e603f48cce3c9096b22ae5bcfaaa03467dc773f8653429a3208e",
     "ch/hedge-committee/ids": "e28fbbea6c2ee9c18d5ba526cff47d0dcf5a433e72b5d427b95ab9bba4a449a9",

@@ -18,6 +18,7 @@ from ogboost.learners import (
     greedy_adapter,
     hedge_committee,
     make_lower_bound_pool,
+    ogd_committee,
     stump_committee,
     symmetrize,
 )
@@ -48,7 +49,8 @@ class TestFeedbackContract:
 
 
     @pytest.mark.parametrize("make", [lambda: stump_committee(2),
-                                      lambda: hedge_committee(_const_pool([0.3, -0.3]), 2, 10)])
+                                      lambda: hedge_committee(_const_pool([0.3, -0.3]), 2, 10),
+                                      lambda: ogd_committee(2)])
     def test_committee_checks_every_stage_feedback(self, make):
         committee = make()
         ex = _ex({0: 1.0}, eid=0)
@@ -111,6 +113,43 @@ class TestOnlineGradientLearner:
             w_star = -gsum / max(float(np.linalg.norm(gsum)), 1e-12)
             best = float(w_star @ gsum)
             assert cum <= best + 1.5 * 1.0 * gmax * math.sqrt(len(stream))
+
+    @pytest.mark.parametrize("case", ["additive", "sparse-wide", "projection-binds",
+                                      "zero-feedback", "one-stage"])
+    def test_committee_matches_independent_copies(self, case):
+        rng = np.random.default_rng(12)
+        if case in ("additive", "zero-feedback"):  # values +-1
+            rows = [ex.features for ex in make_additive_stream(400, seed=6).examples]
+        else:  # k of m features at magnitudes up to 2
+            k, m = (16, 40) if case == "one-stage" else (4, 12)
+            rows = [{int(j): float(rng.uniform(-2, 2)) for j in rng.choice(m, k, replace=False)}
+                    for _ in range(400)]
+        # a small ball and a large rate make the norm projection bind often
+        bound, lr = (0.3, 5.0) if case == "projection-binds" else (1.0, 1.0)
+        # one stage with many features: a numpy sum() down the rows would pair its terms
+        n = 1 if case == "one-stage" else 4
+        singles = [OnlineGradientLearner(bound, lr) for _ in range(n)]
+        committee = ogd_committee(n, bound, lr)
+        gs = rng.uniform(-1, 1, size=(len(rows), n))
+        if case == "zero-feedback":
+            gs[:, ::2] = 0.0
+        projected = 0
+        for t, feats in enumerate(rows):
+            # features listed highest id first: the sums must follow the example's order
+            ex = _ex(dict(sorted(feats.items(), reverse=True)), eid=t)
+            preds = committee.predict(ex)
+            for i in range(n):
+                p = singles[i].predict(ex)
+                # the sign too, so that -0.0 against 0.0 shows
+                assert preds[i] == p and math.copysign(1.0, preds[i]) == math.copysign(1.0, p)
+            for i in range(n):
+                singles[i].update(ex, float(gs[t, i]))
+            committee.update(ex, gs[t])
+            for i in range(n):
+                assert committee.norm2[i] == singles[i]._norm2
+            projected += sum(lrn._norm2 == bound * bound for lrn in singles)
+        if case == "projection-binds":
+            assert projected > len(rows)  # more than one stage per round on average
 
 
 class TestStumpLearner:
