@@ -15,8 +15,10 @@ generators:
 * an additive stream whose target is a sum of per-feature components,
   used to measure the boosting gain over a single stump.
 
-Offline comparators are computed by a simplex Frank-Wolfe solver with a
-projected-gradient cross-check.  ``progressive_validate`` scores strictly
+The offline convex-hull comparator is solved exactly for squared loss (an
+active-set QP on the pool's Gram matrix, certified by its duality gap) and
+by Frank-Wolfe with a projected-gradient cross-check for the other
+families.  ``progressive_validate`` scores strictly
 test-then-train and can account per-stage realized linear regret against
 a committee of functions, which the regret-bound evaluators consume.
 
@@ -290,17 +292,19 @@ class RegionPool(FunctionPool):
     """
 
     def __init__(self, n_members: int = 8):
-        super().__init__([self._member(k) for k in range(n_members)], output_bound=1.0)
         self.n_members = n_members
+        self.output_bound = 1.0
 
-    @staticmethod
-    def _member(k: int):
-        def g(x: Example, _k=k) -> float:
-            if x.features.get(_REGION_FID) == _k + 1:
-                return x.features.get(_VALUE_FID, 0.0)
-            return 0.0
+    def __len__(self) -> int:
+        return self.n_members
 
-        return g
+    def _evaluate(self, x: Example) -> np.ndarray:
+        vals = np.zeros(self.n_members)
+        region = x.features.get(_REGION_FID, 0.0)
+        # only an integral region 1..n selects a member (NaN fails both comparisons)
+        if 1.0 <= region <= self.n_members and region == int(region):
+            vals[int(region) - 1] = x.features.get(_VALUE_FID, 0.0)
+        return vals
 
     def sample_example(self, rng: np.random.Generator, eid: int) -> Example:
         region = int(rng.integers(1, self.n_members + 1))
@@ -428,7 +432,75 @@ def uniform_pool_comparator(stream: Stream, pool: LowerBoundPool) -> ComparatorS
 
 
 def _pool_matrix(stream: Stream, pool: FunctionPool) -> np.ndarray:
-    return np.array([pool.values(ex) for ex in stream.examples])
+    """The T x M matrix of pool values; a non-finite value raises, naming where."""
+    V = np.array([pool.values(ex) for ex in stream.examples])
+    bad = np.argwhere(~np.isfinite(V))
+    if len(bad):
+        t, j = bad[0]
+        raise ValueError(f"pool member {j} is non-finite at example {t}: {V[t, j]!r}")
+    return V
+
+
+# the squared-loss oracle returns only weights whose duality gap is at most this times T
+_SQUARED_GAP_TOL = 1e-9
+# major cycles per pool member before the exact solver gives up (it needs about one each)
+_QP_CYCLES_PER_MEMBER = 20
+
+
+def _affine_minimizer(G: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """argmin of w'Gw/2 - b'w subject to sum(w) = 1, from its KKT system.
+
+    The constraint row is scaled to G's diagonal, so the system stays as
+    well conditioned as G allows whatever the size of the pool values.
+    """
+    n = len(b)
+    s = max(float(np.diag(G).max()), np.finfo(float).tiny)
+    kkt = np.full((n + 1, n + 1), s)
+    kkt[:n, :n] = G
+    kkt[n, n] = 0.0
+    return np.linalg.lstsq(kkt, np.append(b, s), rcond=None)[0][:n]
+
+
+def _simplex_qp(G: np.ndarray, b: np.ndarray, tol: float) -> np.ndarray:
+    """Minimize w'Gw/2 - b'w over the probability simplex (Wolfe's min-norm-point method).
+
+    G is positive semidefinite, possibly singular, with b in its column
+    space (G = V'V, b = V'y).  From the best vertex, each major cycle frees
+    the member of least gradient and moves to the minimizer over the affine
+    hull of the free members, stepping back to the simplex boundary and
+    fixing the members that reach 0 while that minimizer is infeasible.
+    Stops once the duality gap grad'w - min(grad), grad = Gw - b, is at
+    most ``tol``, or when no cycle is left; the caller checks the gap.
+    """
+    m = len(b)
+    w = np.zeros(m)
+    w[np.argmin(0.5 * np.diag(G) - b)] = 1.0
+    free = w > 0.0
+    for _ in range(_QP_CYCLES_PER_MEMBER * m):
+        grad = G @ w - b
+        k = int(np.argmin(grad))
+        if grad @ w - grad[k] <= tol:
+            break
+        free[k] = True
+        while True:
+            idx = np.flatnonzero(free)
+            z = _affine_minimizer(G[np.ix_(idx, idx)], b[idx])
+            if np.all(z > 0.0):
+                w[idx] = z / z.sum()
+                break
+            # step from w toward z until the first free member reaches 0 (the guard
+            # makes the step 0 when the member just freed has z = 0)
+            wi = w[idx]
+            ratio = np.full(len(idx), np.inf)
+            out = z <= 0.0
+            ratio[out] = wi[out] / np.maximum(wi[out] - z[out], np.finfo(float).tiny)
+            j = int(np.argmin(ratio))
+            wi += ratio[j] * (z - wi)
+            wi[j] = 0.0
+            wi[wi < 0.0] = 0.0
+            w[idx] = wi
+            free[idx] = wi > 0.0
+    return w
 
 
 def _project_simplex(w: np.ndarray) -> np.ndarray:
@@ -449,44 +521,52 @@ def _loss_derivs(stream: Stream, preds: np.ndarray) -> np.ndarray:
 
 def best_convex_hull_oracle(stream: Stream, pool: FunctionPool,
                             gap_tol_scale: float = 1e-6, max_iter: int = 4000
-                            ) -> tuple[np.ndarray, float]:
+                            ) -> tuple[np.ndarray, float, np.ndarray]:
     """Best fixed convex combination of pool members, in hindsight.
 
-    Solves min over the simplex of the stream's total loss by Frank-Wolfe
-    (exact line search for the squared family) until the duality gap falls
-    below gap_tol_scale * T, and cross-checks against projected gradient
-    descent.
+    Returns the weights w, the stream's total loss under them and their
+    per-round values V @ w, with V the T x M matrix of pool values.
+
+    For the squared family the total is ||Vw - y||^2 / 2, a QP in M <= 64
+    variables.  It is solved exactly on G = V'V and b = V'y by an active-set
+    method, and w is returned only when its duality gap
+    grad'w - min(grad), grad = Gw - b, is at most 1e-9 * T; otherwise
+    ``RuntimeError`` is raised.  The other families run Frank-Wolfe until
+    the duality gap falls below gap_tol_scale * T, cross-checked against
+    projected gradient descent.
     """
     m = len(pool)
     if m > 64:
         raise ValueError(f"pool too large for the offline oracle ({m} > 64); "
                          "use uniform_pool_comparator instead")
-    if stream.loss_class.family not in ("linear", "p_norm", "modified_least_squares",
-                                        "logistic", "squared"):
-        raise ValueError("offline oracle requires a convex loss family")
 
     V = _pool_matrix(stream, pool)
     T = len(stream)
-    squared = stream.loss_class.family == "squared"
-    y = stream.labels if squared else None
+
+    def total(w: np.ndarray) -> float:
+        return ComparatorSpec("best_convex_hull", V @ w, w).total_loss(stream)
+
+    if stream.loss_class.family == "squared":
+        G = V.T @ V
+        b = V.T @ stream.labels
+        tol = _SQUARED_GAP_TOL * T
+        w = _simplex_qp(G, b, tol)
+        grad = G @ w - b
+        gap = float(grad @ w - grad.min())
+        if not gap <= tol:
+            raise RuntimeError(f"hull oracle not certified: duality gap {gap:.3e} "
+                               f"exceeds the tolerance {tol:.3e}")
+        return w, total(w), V @ w
 
     def fw() -> np.ndarray:
         w = np.full(m, 1.0 / m)
         for k in range(max_iter):
-            preds = V @ w
-            d = (preds - y) if squared else _loss_derivs(stream, preds)
-            grad_w = V.T @ d
+            grad_w = V.T @ _loss_derivs(stream, V @ w)
             j = int(np.argmin(grad_w))
             gap = float(grad_w @ w - grad_w[j])
             if gap <= gap_tol_scale * T:
                 break
-            direction = V[:, j] - preds
-            if squared:
-                denom = float(direction @ direction)
-                gamma = 0.0 if denom == 0 else float(-(preds - y) @ direction) / denom
-                gamma = min(max(gamma, 0.0), 1.0)
-            else:
-                gamma = 2.0 / (k + 2.0)
+            gamma = 2.0 / (k + 2.0)
             w = (1.0 - gamma) * w
             w[j] += gamma
         return w
@@ -501,17 +581,12 @@ def best_convex_hull_oracle(stream: Stream, pool: FunctionPool,
         lip = sigma * sigma * max(curvature, 1e-12) + 1e-12
         step = 1.0 / lip
         for _ in range(max_iter):
-            preds = V @ w
-            d = (preds - y) if squared else _loss_derivs(stream, preds)
-            w_new = _project_simplex(w - step * (V.T @ d))
+            w_new = _project_simplex(w - step * (V.T @ _loss_derivs(stream, V @ w)))
             if float(np.abs(w_new - w).max()) < 1e-12:
                 w = w_new
                 break
             w = w_new
         return w
-
-    def total(w: np.ndarray) -> float:
-        return ComparatorSpec("best_convex_hull", V @ w, w).total_loss(stream)
 
     w_fw = fw()
     total_fw = total(w_fw)
@@ -521,9 +596,8 @@ def best_convex_hull_oracle(stream: Stream, pool: FunctionPool,
         raise RuntimeError(
             f"oracle cross-check failed: frank-wolfe {total_fw:.6f} vs "
             f"projected gradient {total_pg:.6f}")
-    if total_pg < total_fw:
-        return w_pg, total_pg
-    return w_fw, total_fw
+    w = w_pg if total_pg < total_fw else w_fw
+    return w, min(total_fw, total_pg), V @ w
 
 
 def best_single_oracle(stream: Stream, pool: FunctionPool) -> tuple[int, float]:
@@ -540,9 +614,8 @@ def best_single_oracle(stream: Stream, pool: FunctionPool) -> tuple[int, float]:
 
 def hull_comparator(stream: Stream, pool: FunctionPool, **kw) -> ComparatorSpec:
     """Convex-hull oracle packaged as a comparator spec."""
-    w, _ = best_convex_hull_oracle(stream, pool, **kw)
-    V = _pool_matrix(stream, pool)
-    return ComparatorSpec("best_convex_hull", V @ w, w, 1.0)
+    w, _, values = best_convex_hull_oracle(stream, pool, **kw)
+    return ComparatorSpec("best_convex_hull", values, w, 1.0)
 
 
 # ---------------------------------------------------------------------------

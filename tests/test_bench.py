@@ -6,10 +6,13 @@ import re
 import numpy as np
 import pytest
 
+import ogboost.bench
+from ogboost.core import Example
 from ogboost.losses import LossClass
-from ogboost.learners import hedge_committee
+from ogboost.learners import FunctionPool, hedge_committee
 from ogboost.boosting import HullBooster, SpanBooster
 from ogboost.bench import (
+    Stream,
     StreamFormatError,
     best_convex_hull_oracle,
     best_single_oracle,
@@ -236,17 +239,60 @@ class TestPlantedStreams:
         labels = stream.labels
         assert labels.min() >= -1.0 and labels.max() <= 1.0
 
+    def test_region_pool_member_responds_on_its_region_only(self):
+        pool = make_region_pool(4)
+        assert list(pool.values(Example({0: 3.0, 1: -0.7}))) == [0.0, 0.0, -0.7, 0.0]
+        for region in (0.0, 2.5, 5.0, math.nan, None):
+            feats = {1: 0.4} if region is None else {0: region, 1: 0.4}
+            assert list(pool.values(Example(feats))) == [0.0] * 4, region
+
     def test_additive_stream_shape(self):
         s = make_additive_stream(300, seed=5)
         assert len(s) == 300
         assert s.labels.min() >= -1.0 and s.labels.max() <= 1.0
 
 
+class _ColumnPool(FunctionPool):
+    """Member j takes the value V[t, j] at the example with id t."""
+
+    def __init__(self, V):
+        self._V = V
+        self.output_bound = float(np.abs(V).max(initial=0.0))
+
+    def __len__(self):
+        return self._V.shape[1]
+
+    def _evaluate(self, x):
+        return self._V[x.eid]
+
+
+def _matrix_problem(V, y):
+    stream = Stream([Example({}, float(v), eid=t) for t, v in enumerate(y)], LossClass("squared"))
+    return stream, _ColumnPool(V)
+
+
+def _qp_instance(kind, m, rng, rounds=120):
+    """A pool matrix V (rounds x m) and labels y in [-1, 1] of one kind."""
+    if kind == "symmetrized":  # zero column and +-f pairs: G is singular
+        base = rng.uniform(-1, 1, (rounds, (m - 1) // 2))
+        V = np.hstack([np.zeros((rounds, 1)), base, -base])
+    elif kind == "duplicates":
+        V = rng.uniform(-1, 1, (rounds, max(1, m // 3)))[:, rng.integers(0, max(1, m // 3), m)]
+    else:
+        V = rng.uniform(-1, 1, (rounds, m))
+    if kind == "large-values":  # a Gram matrix far from the scale of the simplex constraint
+        return 1e3 * V, rng.uniform(-1, 1, rounds)
+    if kind == "planted-vertex":
+        return V, V[:, rng.integers(m)].copy()
+    w = rng.dirichlet(np.full(V.shape[1], 0.5))
+    return V, np.clip(V @ w + rng.normal(0.0, 0.3, rounds), -1.0, 1.0)
+
+
 class TestOracles:
     def test_perfect_member_gets_all_weight(self):
         pool = make_region_pool(4)
         stream, _ = planted_span_stream(pool, [1, 0, 0, 0], 0.0, 400, seed=6)
-        w, total = best_convex_hull_oracle(stream, pool)
+        w, total, _ = best_convex_hull_oracle(stream, pool)
         assert w[0] == pytest.approx(1.0, abs=1e-3)
         assert total == pytest.approx(0.0, abs=1e-4)
 
@@ -254,11 +300,10 @@ class TestOracles:
         # pool {f, -f}: the optimum over the simplex is a 1-d problem;
         # oracle loss must match a fine grid search over the mixing weight
         pool = make_region_pool(1)
-        sym_members = [pool.members[0], lambda x: -pool.members[0](x)]
-        from ogboost.learners import FunctionPool
+        sym_members = [lambda x: pool.values(x)[0], lambda x: -pool.values(x)[0]]
         pair = FunctionPool(sym_members)
         stream, _ = planted_span_stream(pool, [0.6], 0.05, 400, seed=7)
-        _, total = best_convex_hull_oracle(stream, pair)
+        _, total, _ = best_convex_hull_oracle(stream, pair)
         grid = np.linspace(0.0, 1.0, 10001)
         best = math.inf
         vals = np.array([pair.values(ex) for ex in stream.examples])
@@ -268,21 +313,61 @@ class TestOracles:
             best = min(best, float(np.sum(0.5 * (preds - labels) ** 2)))
         assert total == pytest.approx(best, abs=1e-5 * len(stream))
 
-    def test_fw_and_pgd_agree_on_random_pool(self):
-        pool = make_region_pool(4)
+    @pytest.mark.parametrize("kind", ["random", "symmetrized", "duplicates", "planted-vertex",
+                                      "large-values"])
+    def test_squared_certificate_on_random_pools(self, kind):
         rng = np.random.default_rng(8)
-        w = rng.dirichlet(np.ones(4))
-        stream, _ = planted_hull_stream(pool, w, 0.05, 1000, seed=8)
-        # the cross-check runs inside the oracle and raises on disagreement
-        _, total = best_convex_hull_oracle(stream, pool)
-        assert total >= 0.0
+        for m in range(1, 65):
+            V, y = _qp_instance(kind, m, rng)
+            stream, pool = _matrix_problem(V, y)
+            w, total, values = best_convex_hull_oracle(stream, pool)
+            assert w.min() >= 0.0 and w.sum() == pytest.approx(1.0, abs=1e-12), (kind, m)
+            # the certificate, recomputed from V and y
+            grad = V.T @ (V @ w - y)
+            assert float(grad @ w - grad.min()) <= 1e-9 * len(y), (kind, m)
+            np.testing.assert_allclose(values, V @ w, rtol=0.0, atol=1e-12)
+            assert total == pytest.approx(0.5 * float(np.sum((V @ w - y) ** 2)), rel=1e-12)
+            if kind == "planted-vertex":
+                assert total <= 1e-9 * len(y), m
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_agrees_with_simplex_grid(self, m):
+        rng = np.random.default_rng(20 + m)
+        V, y = _qp_instance("random", m, rng, rounds=50)
+        stream, pool = _matrix_problem(V, y)
+        w, total, _ = best_convex_hull_oracle(stream, pool)
+        h = 1.0 / 200
+        ticks = np.arange(201) * h
+        grid = np.array([p for p in np.array(np.meshgrid(*[ticks] * (m - 1))).reshape(m - 1, -1).T
+                         if p.sum() <= 1.0 + 1e-12]) if m > 1 else np.zeros((1, 0))
+        grid = np.hstack([grid, 1.0 - grid.sum(axis=1, keepdims=True)])
+        best = float(np.min(0.5 * np.sum((V @ grid.T - y[:, None]) ** 2, axis=0)))
+        assert total <= best + 1e-9 * len(y)
+        # the grid point nearest the optimum lies within l1 distance m * h of it
+        grad = V.T @ (V @ w - y)
+        curvature = float(np.linalg.eigvalsh(V.T @ V)[-1])
+        assert best - total <= np.abs(grad).max() * m * h + 0.5 * curvature * (m * h) ** 2
+
+    def test_uncertified_solution_raises(self, monkeypatch):
+        rng = np.random.default_rng(9)
+        V, y = _qp_instance("random", 6, rng)
+        stream, pool = _matrix_problem(V, y)
+        monkeypatch.setattr(ogboost.bench, "_simplex_qp", lambda G, b, tol: np.full(6, 1 / 6))
+        with pytest.raises(RuntimeError, match="duality gap .* exceeds the tolerance"):
+            best_convex_hull_oracle(stream, pool)
+
+    def test_non_finite_pool_value_names_member_and_example(self):
+        pool = FunctionPool([lambda x: 0.5, lambda x: math.nan if x.eid == 7 else -0.5])
+        stream = Stream([Example({}, 0.1, eid=t) for t in range(20)], LossClass("squared"))
+        with pytest.raises(ValueError, match="pool member 1 is non-finite at example 7"):
+            best_convex_hull_oracle(stream, pool)
 
     def test_oracle_sanity_chain(self):
         pool = make_region_pool(6)
         stream, _ = planted_span_stream(pool, [0.4, -0.4, 0.4, -0.4, 0.4, -0.4],
                                         0.05, 800, seed=9)
         sym = pool.symmetrized()  # includes the zero function
-        _, hull_total = best_convex_hull_oracle(stream, sym)
+        _, hull_total, _ = best_convex_hull_oracle(stream, sym)
         _, single_total = best_single_oracle(stream, sym)
         zero_total = zero_comparator(len(stream)).total_loss(stream)
         assert hull_total <= single_total + 1e-9
