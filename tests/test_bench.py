@@ -1,6 +1,8 @@
 """Harness: parsing, synthetic streams, oracles, progressive validation."""
 
+import hashlib
 import math
+import random
 import re
 
 import numpy as np
@@ -250,6 +252,77 @@ class TestPlantedStreams:
         s = make_additive_stream(300, seed=5)
         assert len(s) == 300
         assert s.labels.min() >= -1.0 and s.labels.max() <= 1.0
+
+
+def _example_digest(stream) -> str:
+    """sha256 over every example's (eid, ids in dict order, values, label)."""
+    h = hashlib.sha256()
+    for ex in stream.examples:
+        h.update(np.array([ex.eid, len(ex.features)], "<i8").tobytes())
+        h.update(np.array(list(ex.features), "<i8").tobytes())
+        h.update(np.array(list(ex.features.values()), "<f8").tobytes())
+        h.update(np.array([ex.label], "<f8").tobytes())
+    return h.hexdigest()
+
+
+def _libsvm_text(rows: int = 300) -> str:
+    """Plain lines, and lines only the token parser reads: tabs, zeros, repeated ids."""
+    rng = random.Random(7)
+    lines = []
+    for t in range(rows):
+        ids = sorted(rng.sample(range(1, 60), rng.randint(0, 12)))
+        pairs = [f"{k}:{rng.uniform(-2.0, 2.0)!r}" for k in ids]
+        label = repr(rng.uniform(-3.0, 7.0))
+        if t % 23 == 5:
+            lines.append("")
+        if t % 17 == 3 and ids:
+            pairs += [f"{ids[0]}:0", f"{ids[0]}:-1.5e-3"]
+            lines.append(label + "\t" + "  ".join(pairs))
+        else:
+            lines.append(" ".join([label] + pairs))
+    return "\n".join(lines) + "\n"
+
+
+def _csv_text(rows: int = 300) -> str:
+    rng = random.Random(8)
+    lines = ["label,alpha,beta,gamma,delta"]
+    for t in range(rows):
+        vals = [repr(rng.uniform(-1.0, 1.0)) if rng.random() < 0.7 else "0" for _ in range(4)]
+        lines.append(",".join([repr(rng.uniform(0.0, 50.0))] + vals))
+        if t % 31 == 4:
+            lines.append("")
+    return "\n".join(lines) + "\n"
+
+
+def _source_stream(source: str, tmp_path) -> Stream:
+    pool = make_region_pool(5)
+    if source == "additive":
+        return make_additive_stream(300, seed=3)
+    if source == "planted-hull":
+        return planted_hull_stream(pool, [0.1, 0.15, 0.2, 0.25, 0.3], 0.05, 300, seed=4)[0]
+    if source == "planted-span":
+        return planted_span_stream(pool, [0.6, -0.4, 0.2, -0.8, 0.5], 0.1, 300, seed=5)[0]
+    if source == "lower-bound":
+        return make_lower_bound_stream(2, None, seed=6, pool_scale=1 / 100)[0]
+    p = tmp_path / f"d.{source}"
+    p.write_text(_libsvm_text() if source == "libsvm" else _csv_text())
+    return parse_stream(p, source)
+
+
+class TestStreamContents:
+    # one digest per source, over every example each stream yields
+    DIGESTS = {
+        "additive": "119c3594fe74efc76413cfce693036a535bcd9aec7c683ca137462599e5e91dd",
+        "planted-hull": "0a12bac5addddfe279db3c2f685955d56ac7ceb865fd1d227dcb9f7b6fcb802f",
+        "planted-span": "ba138ea9ad30dac50076892d68709c19ffd9daf6197bf996857233558ee5aff1",
+        "lower-bound": "f07e5b40176de669c5fe3cec2db0c2bb59feab2309dc23cb05ea7556ab77675d",
+        "libsvm": "876dfc2165fe7ccc12677f0a3099c5a1552f3d597b255db8be1dde89530ba78a",
+        "csv": "bb187b20491b0d119010d44005c7f7d2830b377f77f7155f1a41e9b0258fc977",
+    }
+
+    @pytest.mark.parametrize("source", sorted(DIGESTS))
+    def test_examples_unchanged(self, source, tmp_path):
+        assert _example_digest(_source_stream(source, tmp_path)) == self.DIGESTS[source]
 
 
 class _ColumnPool(FunctionPool):
