@@ -2,9 +2,13 @@
 
 A ``Stream`` is a replayable sequence of labeled sparse examples bound to
 a loss family; iterating it yields (example, loss instance) pairs in
-adversary order.  Sources are files (svmlight-style text or headered CSV,
-labels affinely rescaled into a declared range) or seeded synthetic
-generators:
+adversary order.  Every source stores its stream as ``ExampleColumns``:
+CSR columns of int64 feature ids, float64 values and float64 labels, from
+which each ``Example`` is built when it is read, so a stream holds 16
+bytes per nonzero and 16 per example rather than a dict per example.
+Sources are files (svmlight-style text or headered CSV, labels affinely
+rescaled into a declared range) or seeded synthetic generators, which
+check their columns once, vectorized:
 
 * planted span / convex-hull streams over a small region pool, used to
   check the boosters' regret bounds against a comparator with known
@@ -29,6 +33,7 @@ execute in parallel workers, each owning its booster and metrics.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -43,11 +48,85 @@ class StreamFormatError(ValueError):
     pass
 
 
+# rows converted to Python objects at a time while a column stream is iterated
+_READ_CHUNK = 512
+
+
+class ExampleColumns:
+    """A stream's examples stored as CSR columns; each ``Example`` is built when read.
+
+    Row i holds the int64 feature ids ``ids[indptr[i]:indptr[i + 1]]`` and
+    their float64 ``values`` in the order of the example's feature dict, and
+    the float64 label ``labels[i]``.  An example's eid is its row position,
+    counted from ``first_eid``.  Indexing builds one ``Example``, iteration
+    converts a chunk of rows at a time, and a slice is a view on the same
+    columns in which every row keeps its eid.  The columns are read-only.
+    """
+
+    def __init__(self, indptr, ids, values, labels, first_eid: int = 0):
+        self.indptr = np.asarray(indptr, dtype=np.int64)
+        self.ids = np.asarray(ids, dtype=np.int64)
+        self.values = np.asarray(values, dtype=np.float64)
+        self.labels = np.asarray(labels, dtype=np.float64)
+        if self.indptr.shape != (len(self.labels) + 1,) or len(self.ids) != len(self.values):
+            raise ValueError("CSR columns need len(labels) + 1 row pointers and one value per id")
+        for a in (self.indptr, self.ids, self.values, self.labels):
+            a.flags.writeable = False
+        self.first_eid = first_eid
+
+    def __len__(self) -> int:
+        return len(self.labels)
+
+    def __getitem__(self, key):
+        i = range(len(self.labels))[key]  # a range for a slice, else one row; both checked
+        if isinstance(i, range):
+            if i.step != 1:
+                raise ValueError("example columns slice with step 1 only")
+            lo, hi = i.start, i.start + len(i)
+            return ExampleColumns(self.indptr[lo:hi + 1], self.ids, self.values,
+                                  self.labels[lo:hi], self.first_eid + lo)
+        a, b = self.indptr[i], self.indptr[i + 1]
+        return Example(dict(zip(self.ids[a:b].tolist(), self.values[a:b].tolist())),
+                       float(self.labels[i]), eid=self.first_eid + i)
+
+    def __iter__(self):
+        indptr = self.indptr
+        for lo in range(0, len(self.labels), _READ_CHUNK):
+            labels = self.labels[lo:lo + _READ_CHUNK].tolist()
+            a, b = indptr[lo], indptr[lo + len(labels)]
+            ptr = (indptr[lo:lo + len(labels) + 1] - a).tolist()
+            ids = self.ids[a:b].tolist()
+            values = self.values[a:b].tolist()
+            eid = self.first_eid + lo
+            for i, label in enumerate(labels):
+                j, k = ptr[i], ptr[i + 1]
+                yield Example(dict(zip(ids[j:k], values[j:k])), label, eid + i)
+
+    def validate(self) -> "ExampleColumns":
+        """Raise at the first example with a non-finite value or label or an explicit zero."""
+        lo = self.indptr[0]
+        v = self.values[lo:self.indptr[-1]]
+        bad_value = np.flatnonzero(~np.isfinite(v) | (v == 0.0))[:1] + lo
+        bad = np.concatenate((np.searchsorted(self.indptr, bad_value, side="right") - 1,
+                              np.flatnonzero(~np.isfinite(self.labels))[:1]))
+        if len(bad):
+            i = int(bad.min())
+            try:
+                self[i].validate()
+            except ValueError as e:
+                raise ValueError(f"example {self.first_eid + i}: {e}") from None
+        return self
+
+
 @dataclass
 class Stream:
-    """Replayable ordered sequence of labeled examples with a loss family."""
+    """Replayable ordered sequence of labeled examples with a loss family.
 
-    examples: list[Example]
+    The package's sources fill ``examples`` as ``ExampleColumns``; a list of
+    ``Example`` objects given by a caller is kept as it is.
+    """
+
+    examples: list[Example] | ExampleColumns
     loss_class: LossClass
     source: str = "synthetic"
     meta: dict = field(default_factory=dict)
@@ -62,6 +141,8 @@ class Stream:
 
     @property
     def labels(self) -> np.ndarray:
+        if isinstance(self.examples, ExampleColumns):
+            return self.examples.labels
         return np.array([ex.label for ex in self.examples])
 
 
@@ -80,10 +161,14 @@ class ComparatorSpec:
     norm1: float = 1.0
 
     def losses(self, stream: Stream) -> np.ndarray:
-        """The comparator's loss on each round of the stream."""
+        """The comparator's loss on each round of the stream, from its labels alone."""
+        labels = stream.labels
+        if stream.loss_class.family == "squared":
+            # LossInstance.evaluate's operations, so each loss is equal bit for bit
+            d = self.values - labels
+            return 0.5 * d * d
         make = stream.loss_class.make
-        return np.array([make(ex.label).evaluate(float(v))
-                         for ex, v in zip(stream.examples, self.values)])
+        return np.array([make(l).evaluate(float(v)) for l, v in zip(labels.tolist(), self.values)])
 
     def total_loss(self, stream: Stream) -> float:
         return float(sum(self.losses(stream)))
@@ -142,11 +227,13 @@ class _FeatureIds(dict):
         return k
 
 
-def _plain_libsvm_line(line: str, ids: _FeatureIds) -> tuple[float, dict[int, float]] | None:
-    """A line of single-spaced plain numbers, all finite and nonzero; else None.
+def _plain_libsvm_line(line: str, ids: _FeatureIds
+                       ) -> tuple[float, list[int], list[float]] | None:
+    """A line of single-spaced plain numbers, all finite and nonzero, ids distinct; else None.
 
-    One split and a few C-level passes parse it.  Any other line, blank or
-    malformed included, returns None and is parsed token by token.
+    One split and a few C-level passes parse it into its label, ids and
+    values.  Any other line, blank or malformed included, returns None and
+    is parsed token by token.
     """
     m = line.count(":")
     if line.translate(_NUMBER_CHARS) != " :" * m:
@@ -155,16 +242,20 @@ def _plain_libsvm_line(line: str, ids: _FeatureIds) -> tuple[float, dict[int, fl
     try:
         label = float(parts[0])
         vals = list(map(float, parts[2::2]))
-        row = dict(zip(map(ids.__getitem__, parts[1::2]), vals))
+        keys = list(map(ids.__getitem__, parts[1::2]))
     except ValueError:
         return None
-    if 0.0 in vals or not math.isfinite(label) or not all(map(math.isfinite, vals)):
+    if (0.0 in vals or not math.isfinite(label) or not all(map(math.isfinite, vals))
+            or len(set(keys)) != len(keys)):
         return None
-    return label, row
+    return label, keys, vals
 
 
-def _libsvm_line(path: Path, ln: int, line: str) -> tuple[float, dict[int, float]]:
-    """A non-blank libsvm line parsed token by token, raising at its first fault."""
+def _libsvm_line(path: Path, ln: int, line: str) -> tuple[float, list[int], list[float]]:
+    """A non-blank libsvm line parsed token by token, raising at its first fault.
+
+    A repeated id keeps its first position and its last value, as a dict does.
+    """
     toks = line.split()
     label = _parse_label(path, ln, toks[0])
     row: dict[int, float] = {}
@@ -180,7 +271,12 @@ def _libsvm_line(path: Path, ln: int, line: str) -> tuple[float, dict[int, float
         if v != 0.0:
             row[k] = v
     _check_row(path, ln, row)
-    return label, row
+    return label, list(row), list(row.values())
+
+
+def _numbered_lines(fh):
+    """(line number, line) of a text file, broken where ``str.splitlines`` breaks its text."""
+    return enumerate((s for line in fh for s in line.splitlines()), start=1)
 
 
 def parse_stream(path: str | Path, fmt: str, label_range: tuple[float, float] = (-1.0, 1.0),
@@ -189,66 +285,82 @@ def parse_stream(path: str | Path, fmt: str, label_range: tuple[float, float] = 
 
     Labels are affinely rescaled so the observed [min, max] maps onto
     ``label_range`` (idempotent when the data already fills the range).
-    Malformed lines and non-finite labels or values are rejected with their
-    line number.  Explicit zero feature values are dropped.
+    Malformed lines, non-finite labels or values and feature ids beyond
+    int64 are rejected with their line number.  Explicit zero feature
+    values are dropped.  Each line's ids and values are appended to the
+    stream's columns as it is read; neither the text nor the rows are kept.
     """
     path = Path(path)
     if fmt not in ("libsvm", "csv"):
         raise StreamFormatError(f"unknown format {fmt!r} (choose libsvm or csv)")
-    lines = path.read_text().splitlines()  # the text itself is not kept
-    if not any(map(str.strip, lines)):
-        raise StreamFormatError(f"{path}: empty file")
     if loss_class is None:
         loss_class = LossClass("squared", label_range=label_range)
 
     labels: list[float] = []
-    feats: list[dict[int, float]] = []
+    ids, values, indptr = array("q"), array("d"), array("q", [0])
     names: list[str] = []
 
-    if fmt == "csv":
-        header = lines[0].split(",")
-        if len(header) < 2 or header[0].strip().lower() != "label":
-            raise StreamFormatError(f"{path}:1: csv header must start with 'label'")
-        names = [h.strip() for h in header[1:]]
-        ids = [feature_id(n) for n in names]
-        for ln, line in enumerate(lines[1:], start=2):
-            if not line.strip():
-                continue
-            parts = line.split(",")
-            if len(parts) != len(header):
-                raise StreamFormatError(
-                    f"{path}:{ln}: expected {len(header)} fields, got {len(parts)}")
-            labels.append(_parse_label(path, ln, parts[0]))
-            row: dict[int, float] = {}
-            for fid, tok in zip(ids, parts[1:]):
-                try:
-                    v = float(tok)
-                except ValueError:
-                    raise StreamFormatError(
-                        f"{path}:{ln}: non-numeric feature value {tok!r}") from None
-                if v != 0.0:
-                    row[fid] = v
-            _check_row(path, ln, row)
-            feats.append(row)
-    else:
-        ids = _FeatureIds()
-        for ln, line in enumerate(lines, start=1):
-            parsed = _plain_libsvm_line(line, ids)
-            if parsed is None:
+    def append(ln: int, label: float, keys: list[int], vals: list[float]) -> None:
+        try:
+            ids.fromlist(keys)
+        except OverflowError:
+            raise StreamFormatError(f"{path}:{ln}: feature id out of the int64 range") from None
+        values.fromlist(vals)
+        indptr.append(len(ids))
+        labels.append(label)
+
+    with open(path) as fh:
+        lines = _numbered_lines(fh)
+        if fmt == "csv":
+            first = next(lines, (1, ""))[1]
+            header = first.split(",")
+            if len(header) < 2 or header[0].strip().lower() != "label":
+                if not first.strip() and not any(line.strip() for _, line in lines):
+                    raise StreamFormatError(f"{path}: empty file")
+                raise StreamFormatError(f"{path}:1: csv header must start with 'label'")
+            names = [h.strip() for h in header[1:]]
+            fids = [feature_id(n) for n in names]
+            for ln, line in lines:
                 if not line.strip():
                     continue
-                parsed = _libsvm_line(path, ln, line)
-            labels.append(parsed[0])
-            feats.append(parsed[1])
+                parts = line.split(",")
+                if len(parts) != len(header):
+                    raise StreamFormatError(
+                        f"{path}:{ln}: expected {len(header)} fields, got {len(parts)}")
+                label = _parse_label(path, ln, parts[0])
+                row: dict[int, float] = {}
+                for fid, tok in zip(fids, parts[1:]):
+                    try:
+                        v = float(tok)
+                    except ValueError:
+                        raise StreamFormatError(
+                            f"{path}:{ln}: non-numeric feature value {tok!r}") from None
+                    if v != 0.0:
+                        row[fid] = v
+                _check_row(path, ln, row)
+                append(ln, label, list(row), list(row.values()))
+        else:
+            known = _FeatureIds()
+            for ln, line in lines:
+                parsed = _plain_libsvm_line(line, known)
+                if parsed is None:
+                    if not line.strip():
+                        continue
+                    parsed = _libsvm_line(path, ln, line)
+                append(ln, *parsed)
+    if not labels:
+        raise StreamFormatError(f"{path}: empty file")
 
     labels = _rescale(labels, label_range)
     if not all(map(math.isfinite, labels)):  # the rescale can overflow
         i = next(i for i, l in enumerate(labels) if not math.isfinite(l))
         # example i is the i-th non-blank line after the csv header
-        ln = [n for n, line in enumerate(lines, start=1) if line.strip()][i + (fmt == "csv")]
+        with open(path) as fh:
+            ln = [n for n, line in _numbered_lines(fh) if line.strip()][i + (fmt == "csv")]
         raise StreamFormatError(f"{path}:{ln}: non-finite label: {labels[i]!r}")
-    examples = [Example(f, l, eid=i) for i, (f, l) in enumerate(zip(feats, labels))]
-    return Stream(examples, loss_class, source=str(path),
+    columns = ExampleColumns(np.frombuffer(indptr, np.int64), np.frombuffer(ids, np.int64),
+                             np.frombuffer(values, np.float64), labels)
+    return Stream(columns, loss_class, source=str(path),
                   meta={"format": fmt, "label_range": label_range, "names": names})
 
 
@@ -327,21 +439,24 @@ def _planted_stream(pool: RegionPool, weights: np.ndarray, noise_sigma: float, r
         raise ValueError("planted coefficients must be finite")
     rng = seeded_rng(seed, "planted", kind)
     lo, hi = loss_class.label_range
-    examples = []
+    feats = np.empty((rounds, 2))  # each example's (region, value) features
+    labels = np.empty(rounds)
     comp_values = np.empty(rounds)
     for t in range(rounds):
         ex = pool.sample_example(rng, t)
+        feats[t] = ex.features[_REGION_FID], ex.features[_VALUE_FID]
         vals = pool.values(ex)
         f_val = float(weights @ vals)
         comp_values[t] = f_val
         label = f_val
         if noise_sigma > 0:
             label += noise_sigma * float(rng.standard_normal())
-        label = min(max(label, lo), hi)
-        examples.append(Example(ex.features, label, eid=t))
+        labels[t] = min(max(label, lo), hi)
+    columns = ExampleColumns(np.arange(0, 2 * rounds + 1, 2),
+                             np.tile([_REGION_FID, _VALUE_FID], rounds), feats.ravel(), labels)
     norm1 = max(1.0, float(np.abs(weights).sum()))
     comp = ComparatorSpec(kind, comp_values, weights, norm1)
-    stream = Stream(examples, loss_class, source=f"synthetic:{kind}",
+    stream = Stream(columns.validate(), loss_class, source=f"synthetic:{kind}",
                     meta={"seed": seed, "noise_sigma": noise_sigma})
     return stream, comp
 
@@ -381,11 +496,10 @@ def make_additive_stream(rounds: int, seed: int, n_signal: int = 5, n_noise: int
     noise = noise_sigma * rng.standard_normal(rounds)
     values = np.where(present, signs, 0.0)
     labels = np.clip(values[:, :n_signal] @ np.asarray(coeffs) + noise, -1.0, 1.0)
-    examples = []
-    for t in range(rounds):
-        feats = {j + 1: values[t, j] for j in range(n_feat) if present[t, j]}
-        examples.append(Example(feats, float(labels[t]), eid=t))
-    return Stream(examples, LossClass("squared"), source="synthetic:additive",
+    rows, cols = np.nonzero(present)  # row by row, each row's features by ascending id
+    indptr = np.append(0, np.cumsum(np.count_nonzero(present, axis=1)))
+    columns = ExampleColumns(indptr, cols + 1, values[rows, cols], labels)
+    return Stream(columns.validate(), LossClass("squared"), source="synthetic:additive",
                   meta={"seed": seed, "n_signal": n_signal, "n_noise": n_noise})
 
 
@@ -413,8 +527,10 @@ def make_lower_bound_stream(stages: int, rounds: int | None, seed: int,
     p1, p2 = 0.5 + eps, 0.5 - eps
     rng = seeded_rng(seed, "lbstream")
     labels = np.where(rng.random(rounds) < 0.5, p1, p2)
-    examples = [Example({0: float(t + 1)}, float(labels[t]), eid=t) for t in range(rounds)]
-    stream = Stream(examples, LossClass("squared", label_range=(0.0, 1.0)),
+    # example t has the single feature {0: t + 1}
+    columns = ExampleColumns(np.arange(rounds + 1), np.zeros(rounds, dtype=np.int64),
+                             np.arange(1.0, rounds + 1.0), labels)
+    stream = Stream(columns.validate(), LossClass("squared", label_range=(0.0, 1.0)),
                     source="synthetic:lower_bound",
                     meta={"seed": seed, "eps": eps, "p1": p1, "p2": p2,
                           "pool_size": m, "pool_scale": pool_scale})
@@ -515,8 +631,7 @@ def _project_simplex(w: np.ndarray) -> np.ndarray:
 
 def _loss_derivs(stream: Stream, preds: np.ndarray) -> np.ndarray:
     make = stream.loss_class.make
-    return np.array([make(ex.label).gradient(float(p))
-                     for ex, p in zip(stream.examples, preds)])
+    return np.array([make(l).gradient(float(p)) for l, p in zip(stream.labels.tolist(), preds)])
 
 
 def best_convex_hull_oracle(stream: Stream, pool: FunctionPool,
@@ -605,8 +720,8 @@ def best_single_oracle(stream: Stream, pool: FunctionPool) -> tuple[int, float]:
     V = _pool_matrix(stream, pool)
     make = stream.loss_class.make
     totals = np.zeros(V.shape[1])
-    for ex, row in zip(stream.examples, V):
-        inst = make(ex.label)
+    for label, row in zip(stream.labels.tolist(), V):
+        inst = make(label)
         totals += np.array([inst.evaluate(float(v)) for v in row])
     j = int(np.argmin(totals))
     return j, float(totals[j])
@@ -703,7 +818,7 @@ def progressive_validate(stream: Stream, booster, split: float = 0.5,
                 cum_pred = np.zeros(len(fb_arr))
                 cum_member = np.zeros((len(fb_arr), len(committee)))
             cum_pred += fb_arr * np.asarray(trace.arms)
-            cum_member += np.outer(fb_arr, committee.values(ex))
+            cum_member += fb_arr[:, None] * committee.values(ex)
 
     comp_losses = comparator.losses(stream) if comparator is not None else None
     return RunMetrics(test_losses, split, comp_losses, cum_pred, cum_member)

@@ -149,7 +149,9 @@ class LowerBoundPool(FunctionPool):
     a pure function of (seed, example id): it comes from an RNG keyed by
     both, so every stage and every repeated query sees the same "function"
     without rows being kept.  The pool holds only the shared memo's current
-    row and the mean of each row drawn, which ``mean_value`` returns.
+    row and the mean of each row drawn, which ``mean_value`` returns: a
+    float64 array indexed by example id, NaN where no row was drawn, grown
+    by doubling.
     """
 
     def __init__(self, size: int, seed: int):
@@ -158,7 +160,7 @@ class LowerBoundPool(FunctionPool):
         self.size = size
         self.seed = seed
         self.output_bound = 1.0
-        self._means: dict[int, float] = {}
+        self._means = np.full(64, np.nan)
 
     def __len__(self) -> int:
         return self.size
@@ -170,14 +172,18 @@ class LowerBoundPool(FunctionPool):
             raise ValueError("lower-bound pool requires labeled examples")
         rng = seeded_rng(self.seed, "lbpool", x.eid)
         draws = rng.random(self.size) < x.label
+        while x.eid >= len(self._means):
+            self._means = np.concatenate((self._means, np.full(len(self._means), np.nan)))
         self._means[x.eid] = np.count_nonzero(draws) / self.size
         return draws.astype(np.float64)
 
     def mean_value(self, x: Example) -> float:
         """Value of the uniform average of all pool members at ``x``."""
-        if x.eid not in self._means:
+        m = self._means[x.eid] if 0 <= x.eid < len(self._means) else math.nan
+        if math.isnan(m):  # no row drawn yet
             self.values(x)
-        return self._means[x.eid]
+            m = self._means[x.eid]
+        return float(m)
 
 
 def make_lower_bound_pool(stages: int, seed: int, pool_scale: float = 1.0 / 4000.0) -> LowerBoundPool:
@@ -375,10 +381,15 @@ class _SlotCommittee:
     per stage (a (slots x N) array) or one shared by all stages.  Rows grow
     by doubling, so a round costs a fixed number of numpy operations however
     many features are present.
+
+    ``predict`` keeps what it gathered for its example (the rows, the values
+    as an array and a copy of the state rows it reads), and an ``update`` on
+    the same example object reuses it instead of gathering again.
     """
 
     deterministic = True
     _STATE: dict[str, tuple[float, bool]] = {}
+    _memo: tuple | None = None  # what the last predict gathered
 
     def __init__(self, n: int, output_bound: float = 1.0, lr_scale: float = 1.0):
         if n < 1:
@@ -393,6 +404,15 @@ class _SlotCommittee:
 
     def __len__(self) -> int:
         return self.n
+
+    def _gather(self, x: Example) -> tuple:
+        """(x, the rows of its features, their values as an array, the state rows read)."""
+        raise NotImplementedError
+
+    def _recall(self, x: Example) -> tuple:
+        """What the last ``predict`` gathered, if it saw ``x``; else gathered now."""
+        memo, self._memo = self._memo, None  # an update changes the state rows
+        return memo if memo is not None and memo[0] is x else self._gather(x)
 
     def _rows(self, keys) -> list[int]:
         slots = self.slots
@@ -426,26 +446,29 @@ class StumpCommittee(_SlotCommittee):
         super().__init__(n, output_bound, lr_scale)
         self._cols = np.arange(n)
 
-    def predict(self, x: Example) -> list[float]:
+    def _gather(self, x):
         feats = x.features
-        if not feats:
-            return [0.0] * self.n
         keys = sorted(feats)  # argmin ties go to the lowest feature id
         rows = np.array(self._rows(keys))
-        choice = self.cum.take(rows, 0).argmin(axis=0)
         v = np.array([feats[k] for k in keys], dtype=float)
+        return x, rows, v, self.cum.take(rows, 0)
+
+    def predict(self, x: Example) -> list[float]:
+        if not x.features:
+            return [0.0] * self.n
+        self._memo = _, rows, v, cum = self._gather(x)
+        choice = cum.argmin(axis=0)
         raw = self.w[rows[choice], self._cols] * v[choice]
         D = self.output_bound
         return np.minimum(np.maximum(raw, -D), D).tolist()
 
     def update(self, x: Example, fb) -> None:
         g = _feedback_vector(fb, self.n)
-        feats = x.features
-        if not feats:
+        if not x.features:
             return
         # StumpLearner.update's operations in its order, so results match bit for bit
-        rows = np.array(self._rows(feats))
-        v = np.fromiter(feats.values(), float, len(feats))
+        # (each feature's row is updated on its own, so the row order does not matter)
+        _, rows, v, cum = self._recall(x)
         t = self.steps.take(rows) + 1.0
         self.steps[rows] = t
         gm = np.maximum(self.vmax.take(rows), np.abs(v))
@@ -457,7 +480,7 @@ class StumpCommittee(_SlotCommittee):
         np.maximum(pred, -D, out=pred)
         np.minimum(pred, D, out=pred)
         pred *= g
-        self.cum[rows] = self.cum.take(rows, 0) + pred
+        self.cum[rows] = cum + pred
         w -= ((self.lr_scale * D / (gm * np.sqrt(t)[:, None])) * g) * v
         # per-feature weight ball keeps |w_k * v| <= D for |v| <= G_k
         cap = D / gm
@@ -487,13 +510,16 @@ class OGDCommittee(_SlotCommittee):
         self._gmax = 1e-12
         self._t = 0
 
-    def predict(self, x: Example) -> list[float]:
+    def _gather(self, x):
         feats = x.features
-        if not feats:
-            return [0.0] * self.n
         rows = self._rows(feats)  # may grow self.w, so before reading it
-        prods = self.w.take(rows, 0)
-        prods *= np.fromiter(feats.values(), float, len(feats))[:, None]
+        return x, rows, np.fromiter(feats.values(), float, len(feats)), self.w.take(rows, 0)
+
+    def predict(self, x: Example) -> list[float]:
+        if not x.features:
+            return [0.0] * self.n
+        self._memo = _, _, v, w = self._gather(x)
+        prods = w * v[:, None]
         # a running sum down the rows adds in the dict loop's order (sum() may pair terms)
         s = np.add.accumulate(prods, axis=0, out=prods)[-1]
         s += 0.0  # the loop starts from +0.0, so a sum of -0.0 terms reads +0.0
@@ -503,11 +529,10 @@ class OGDCommittee(_SlotCommittee):
     def update(self, x: Example, fb) -> None:
         g = _feedback_vector(fb, self.n)
         self._t += 1
-        feats = x.features
-        if not feats:
+        if not x.features:
             return
         # OnlineGradientLearner.update's operations in its order, so results match bit for bit
-        v = np.fromiter(feats.values(), float, len(feats))
+        _, rows, v, old = self._recall(x)
         xnorm = math.sqrt(np.add.accumulate(v * v)[-1])
         if xnorm > self._gmax:
             self._gmax = xnorm
@@ -516,8 +541,6 @@ class OGDCommittee(_SlotCommittee):
         D = self.output_bound
         step = self.lr_scale * D / (self._gmax * math.sqrt(self._t))
         # a stage with zero feedback keeps its weights and adds exactly 0 to its norm
-        rows = np.array(self._rows(feats))
-        old = self.w.take(rows, 0)
         new = old - (step * g) * v[:, None]
         self.w[rows] = new
         d = new * new - old * old
@@ -662,7 +685,9 @@ class HedgeCommittee:
     def update(self, x: Example, fb) -> None:
         g = _feedback_vector(fb, len(self.weights))
         w = self.weights
-        w *= np.exp(np.outer(-self.rate * g, self.pool.values(x)))
+        # the product np.outer forms, exponentiated in place
+        e = (-self.rate * g)[:, None] * self.pool.values(x)
+        w *= np.exp(e, out=e)
         w /= w.sum(axis=1, keepdims=True)
 
 

@@ -4,6 +4,7 @@ import hashlib
 import math
 import random
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,8 @@ from ogboost.losses import LossClass
 from ogboost.learners import FunctionPool, hedge_committee
 from ogboost.boosting import HullBooster, SpanBooster
 from ogboost.bench import (
+    ComparatorSpec,
+    ExampleColumns,
     Stream,
     StreamFormatError,
     best_convex_hull_oracle,
@@ -106,6 +109,19 @@ class TestParsing:
         p = tmp_path / "e.svm"
         p.write_text("\n")
         with pytest.raises(StreamFormatError, match="empty"):
+            parse_stream(p, "libsvm")
+
+    @pytest.mark.parametrize("text", ["", "\n \n", "label,a\n\n"])
+    def test_empty_csv(self, tmp_path, text):
+        p = tmp_path / "e.csv"
+        p.write_text(text)
+        with pytest.raises(StreamFormatError, match="empty"):
+            parse_stream(p, "csv")
+
+    def test_feature_id_beyond_int64_cites_line(self, tmp_path):
+        p = tmp_path / "d.svm"
+        p.write_text("1 1:1\n-1 3:0.5 9223372036854775808:1\n")
+        with pytest.raises(StreamFormatError, match=re.escape(f"{p}:2: feature id out of")):
             parse_stream(p, "libsvm")
 
     def test_unknown_format(self, tmp_path):
@@ -324,6 +340,57 @@ class TestStreamContents:
     def test_examples_unchanged(self, source, tmp_path):
         assert _example_digest(_source_stream(source, tmp_path)) == self.DIGESTS[source]
 
+    @pytest.mark.parametrize("source", sorted(DIGESTS))
+    def test_slices_indexing_and_reiteration_agree(self, source, tmp_path):
+        def key(ex):
+            return ex.eid, list(ex.features.items()), ex.label
+
+        examples = _source_stream(source, tmp_path).examples
+        first = [key(ex) for ex in examples]
+        assert [key(ex) for ex in examples] == first
+        assert [ex.eid for ex in examples] == list(range(len(first)))
+        n = len(first)
+        for lo, hi in [(0, n), (0, 7), (5, 300), (n - 3, n + 10), (-20, -4), (9, 2)]:
+            view = examples[lo:hi]
+            assert len(view) == len(first[lo:hi])
+            assert [key(ex) for ex in view] == first[lo:hi]
+            assert [key(ex) for ex in view[2:]] == first[lo:hi][2:]
+        for i in (0, 1, n // 2, n - 1, -1, -n):
+            assert key(examples[i]) == first[i]
+        with pytest.raises(IndexError):
+            examples[n]
+
+    def test_additive_stream_holds_at_most_200_bytes_per_example(self):
+        make_additive_stream(100, seed=0)  # one-time allocations outside the count
+        for rounds in (4_000, 16_000):
+            tracemalloc.start()
+            try:
+                stream = make_additive_stream(rounds, seed=1)
+                held, _ = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert len(stream) == rounds
+            assert held <= 200 * rounds, (rounds, held / rounds)
+
+    @pytest.mark.parametrize("column, value, error", [
+        ("values", math.nan, "example 3: non-finite feature value for id 12: nan"),
+        ("values", 0.0, "example 3: explicit zero feature entry for id 12"),
+        ("labels", math.inf, "example 2: non-finite label: inf"),
+    ])
+    def test_columns_validate_names_the_example(self, column, value, error):
+        cols = {"indptr": [0, 1, 1, 2, 4], "ids": [5, 7, 11, 12], "values": [0.5, -1.0, 2.0, 3.0],
+                "labels": [0.1, 0.2, 0.3, 0.4]}
+        i = 3 if column == "values" else 2
+        cols[column][i] = value
+        with pytest.raises(ValueError, match=re.escape(error)):
+            ExampleColumns(**cols).validate()
+        cols[column][i] = 1.0
+        ExampleColumns(**cols).validate()
+
+    def test_generators_validate_their_columns(self):
+        with pytest.raises(ValueError, match="example 0: non-finite label: nan"):
+            make_additive_stream(10, seed=0, noise_sigma=math.nan)
+
 
 class _ColumnPool(FunctionPool):
     """Member j takes the value V[t, j] at the example with id t."""
@@ -451,6 +518,21 @@ class TestOracles:
         assert pool.size > 64
         with pytest.raises(ValueError, match="uniform"):
             best_convex_hull_oracle(stream, pool)
+
+
+class TestComparatorLosses:
+    @pytest.mark.parametrize("family", ["squared", "linear", "logistic", "modified_least_squares",
+                                        "p_norm"])
+    def test_losses_equal_the_scalar_loop(self, family):
+        rng = np.random.default_rng(21)
+        labels = rng.uniform(-1.0, 1.0, 500)
+        values = rng.uniform(-3.0, 3.0, 500) * 10.0 ** rng.integers(-8, 3, 500)
+        lc = LossClass(family, p=3.0) if family == "p_norm" else LossClass(family)
+        stream = Stream([Example({}, float(l), eid=t) for t, l in enumerate(labels)], lc)
+        comp = ComparatorSpec("planted_span", values)
+        expected = np.array([lc.make(l).evaluate(float(v)) for l, v in zip(labels, values)])
+        assert comp.losses(stream).tobytes() == expected.tobytes()
+        assert comp.total_loss(stream) == float(sum(expected))
 
 
 SQ = LossClass("squared")

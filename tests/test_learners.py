@@ -115,7 +115,7 @@ class TestOnlineGradientLearner:
             assert cum <= best + 1.5 * 1.0 * gmax * math.sqrt(len(stream))
 
     @pytest.mark.parametrize("case", ["additive", "sparse-wide", "projection-binds",
-                                      "zero-feedback", "one-stage"])
+                                      "zero-feedback", "one-stage", "update-sees-other-example"])
     def test_committee_matches_independent_copies(self, case):
         rng = np.random.default_rng(12)
         if case in ("additive", "zero-feedback"):  # values +-1
@@ -142,6 +142,8 @@ class TestOnlineGradientLearner:
                 p = singles[i].predict(ex)
                 # the sign too, so that -0.0 against 0.0 shows
                 assert preds[i] == p and math.copysign(1.0, preds[i]) == math.copysign(1.0, p)
+            if case == "update-sees-other-example":  # what predict gathered must not be reused
+                ex = _ex(dict(sorted(rows[t - 1].items(), reverse=True)), eid=t)
             for i in range(n):
                 singles[i].update(ex, float(gs[t, i]))
             committee.update(ex, gs[t])
@@ -186,7 +188,7 @@ class TestStumpLearner:
         n_feats = len(lrn.w)
         assert cum <= 0.0 + 3.0 * n_feats * math.sqrt(rounds)
 
-    @pytest.mark.parametrize("source", ["additive", "sparse-wide"])
+    @pytest.mark.parametrize("source", ["additive", "sparse-wide", "update-sees-other-example"])
     def test_committee_matches_independent_copies(self, source):
         rng = np.random.default_rng(10)
         if source == "additive":  # values +-1
@@ -204,6 +206,8 @@ class TestStumpLearner:
             preds = committee.predict(ex)
             for i in range(n):
                 assert preds[i] == singles[i].predict(ex)
+            if source == "update-sees-other-example":  # what predict gathered must not be reused
+                ex = _ex(dict(sorted(rows[t - 1].items(), reverse=True)), eid=t)
             for i in range(n):
                 singles[i].update(ex, float(gs[t, i]))
             committee.update(ex, gs[t])
@@ -523,6 +527,26 @@ class TestLowerBoundPool:
         finally:
             tracemalloc.stop()
         assert held < 10 * 4000 * 8
+
+    def test_means_are_kept_in_an_array_by_id(self):
+        pool = make_lower_bound_pool(1, seed=4, pool_scale=1 / 5)  # M = 5
+        rounds = 20_000
+        tracemalloc.start()
+        try:
+            for t in range(rounds):
+                pool.values(_ex({0: 1.0}, label=0.5, eid=t))
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert held <= 16 * rounds  # one float64 per id, doubled at most
+        # a new object with a recorded id reads its mean without a draw; an unseen id draws
+        row = pool.values(_ex({0: 1.0}, label=0.5, eid=123)).copy()
+        pool.values(_ex({0: 1.0}, label=0.5, eid=124))
+        assert pool.mean_value(_ex({0: 1.0}, label=0.5, eid=123)) == float(row.mean())
+        fresh = _ex({0: 1.0}, label=0.5, eid=5 * rounds)
+        assert pool.mean_value(fresh) == float(pool.values(fresh).mean())
+        with pytest.raises(ValueError, match="with an id"):
+            pool.mean_value(_ex({0: 1.0}, label=0.5))
 
     def test_empirical_mean_concentrates(self):
         # binomial oracle: with n = 4000, p = 0.55 the mean deviates from p
