@@ -48,18 +48,17 @@ class StreamFormatError(ValueError):
     pass
 
 
-# rows converted to Python objects at a time while a column stream is iterated
-_READ_CHUNK = 512
-
-
 class ExampleColumns:
     """A stream's examples stored as CSR columns; each ``Example`` is built when read.
 
     Row i holds the int64 feature ids ``ids[indptr[i]:indptr[i + 1]]`` and
     their float64 ``values`` in the order of the example's feature dict, and
     the float64 label ``labels[i]``.  An example's eid is its row position,
-    counted from ``first_eid``.  Indexing builds one ``Example``, iteration
-    converts a chunk of rows at a time, and a slice is a view on the same
+    counted from ``first_eid``.  Indexing and iteration build one ``Example``
+    per row read.  Iteration converts no rows ahead, so no round pays for
+    converting many rows at once, and it keeps each example until the row
+    after next is read, so a learner's memo of it is not the last reference
+    that the next round's ``predict`` drops.  A slice is a view on the same
     columns in which every row keeps its eid.  The columns are read-only.
     """
 
@@ -90,17 +89,14 @@ class ExampleColumns:
                        float(self.labels[i]), eid=self.first_eid + i)
 
     def __iter__(self):
-        indptr = self.indptr
-        for lo in range(0, len(self.labels), _READ_CHUNK):
-            labels = self.labels[lo:lo + _READ_CHUNK].tolist()
-            a, b = indptr[lo], indptr[lo + len(labels)]
-            ptr = (indptr[lo:lo + len(labels) + 1] - a).tolist()
-            ids = self.ids[a:b].tolist()
-            values = self.values[a:b].tolist()
-            eid = self.first_eid + lo
-            for i, label in enumerate(labels):
-                j, k = ptr[i], ptr[i + 1]
-                yield Example(dict(zip(ids[j:k], values[j:k])), label, eid + i)
+        # memoryviews read single pointers and labels as Python ints and floats
+        indptr, labels = memoryview(self.indptr), memoryview(self.labels)
+        ids, values, eid = self.ids, self.values, self.first_eid
+        for i in range(len(labels)):
+            a, b = indptr[i], indptr[i + 1]
+            ex = Example(dict(zip(ids[a:b].tolist(), values[a:b].tolist())), labels[i], eid + i)
+            yield ex
+            kept = ex  # noqa: F841  the example before it is freed here, between rounds
 
     def validate(self) -> "ExampleColumns":
         """Raise at the first example with a non-finite value or label or an explicit zero."""

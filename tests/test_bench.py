@@ -4,6 +4,7 @@ import hashlib
 import math
 import random
 import re
+import sys
 import tracemalloc
 
 import numpy as np
@@ -359,6 +360,16 @@ class TestStreamContents:
             assert key(examples[i]) == first[i]
         with pytest.raises(IndexError):
             examples[n]
+
+    def test_iteration_frees_each_example_when_the_row_after_next_is_read(self):
+        # so a learner's memo of the previous example is not its last reference
+        it = iter(make_additive_stream(10, seed=1).examples)
+        first = next(it)
+        refs = sys.getrefcount(first)
+        next(it)
+        assert sys.getrefcount(first) == refs
+        next(it)
+        assert sys.getrefcount(first) == refs - 1
 
     def test_additive_stream_holds_at_most_200_bytes_per_example(self):
         make_additive_stream(100, seed=0)  # one-time allocations outside the count
