@@ -39,7 +39,6 @@ from .bench import (
     Stream,
     StreamFormatError,
     best_convex_hull_oracle,
-    best_single_oracle,
     hull_comparator,
     hull_regret_bound,
     make_additive_stream,

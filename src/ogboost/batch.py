@@ -92,15 +92,14 @@ class BatchObjective:
 
 @dataclass
 class BatchIterate:
-    """Stagewise iterate: dictionary coefficients plus cached values."""
+    """Stagewise iterate: the function's values at the batch points."""
 
-    coeffs: np.ndarray
     values: np.ndarray
     s: float = 1.0  # cumulative step sum, s_0 = 1
 
     @staticmethod
     def zero(dictionary: FunctionDictionary) -> "BatchIterate":
-        return BatchIterate(np.zeros(len(dictionary)), np.zeros(dictionary.n_points), 1.0)
+        return BatchIterate(np.zeros(dictionary.n_points), 1.0)
 
 
 def base_argmin(objective: BatchObjective, dictionary: FunctionDictionary,
@@ -119,9 +118,7 @@ def ungated_step(objective: BatchObjective, dictionary: FunctionDictionary,
     if eta < 0:
         raise ValueError("step size must be >= 0")
     j = base_argmin(objective, dictionary, it.values, eta)
-    coeffs = it.coeffs.copy()
-    coeffs[j] += eta
-    return BatchIterate(coeffs, it.values + eta * dictionary.rows[j], it.s + eta)
+    return BatchIterate(it.values + eta * dictionary.rows[j], it.s + eta)
 
 
 def gated_step(objective: BatchObjective, dictionary: FunctionDictionary,
@@ -132,15 +129,7 @@ def gated_step(objective: BatchObjective, dictionary: FunctionDictionary,
     j = base_argmin(objective, dictionary, it.values, eta)
     sigma = 1.0 if objective.grad_pairing(it.values, it.values) >= 0.0 else 0.0
     keep = 1.0 - sigma * eta
-    return BatchIterate(keep * it.coeffs + eta * _unit_coeff(len(dictionary), j),
-                        keep * it.values + eta * dictionary.rows[j],
-                        it.s + eta)
-
-
-def _unit_coeff(n: int, j: int) -> np.ndarray:
-    e = np.zeros(n)
-    e[j] = 1.0
-    return e
+    return BatchIterate(keep * it.values + eta * dictionary.rows[j], it.s + eta)
 
 
 def bound_ungated(delta0: float, s: np.ndarray, etas: np.ndarray, norm1: float,

@@ -19,12 +19,11 @@ check their columns once, vectorized:
 * an additive stream whose target is a sum of per-feature components,
   used to measure the boosting gain over a single stump.
 
-The offline convex-hull comparator is solved exactly for squared loss (an
-active-set QP on the pool's Gram matrix, certified by its duality gap) and
-by Frank-Wolfe with a projected-gradient cross-check for the other
-families.  ``progressive_validate`` scores strictly
-test-then-train and can account per-stage realized linear regret against
-a committee of functions, which the regret-bound evaluators consume.
+The offline convex-hull comparator is defined for squared loss only: an
+exact active-set QP on the pool's Gram matrix, certified by its duality
+gap.  ``progressive_validate`` scores strictly test-then-train and can
+account per-stage realized linear regret against a committee of
+functions, which the regret-bound evaluators consume.
 
 Stream iteration is single-consumer; independent (seed, config) runs can
 execute in parallel workers, each owning its booster and metrics.
@@ -147,7 +146,7 @@ class ComparatorSpec:
     """A reference predictor with its per-round values on a stream.
 
     ``kind`` is one of planted_span, planted_hull, best_convex_hull,
-    best_single, uniform_pool_mean, zero.  ``norm1`` is the comparator's
+    uniform_pool_mean, zero.  ``norm1`` is the comparator's
     declared 1-norm (max(1, sum |w|)) where meaningful.
     """
 
@@ -615,117 +614,45 @@ def _simplex_qp(G: np.ndarray, b: np.ndarray, tol: float) -> np.ndarray:
     return w
 
 
-def _project_simplex(w: np.ndarray) -> np.ndarray:
-    u = np.sort(w)[::-1]
-    css = np.cumsum(u) - 1.0
-    idx = np.arange(1, len(w) + 1)
-    cond = u - css / idx > 0
-    rho = idx[cond][-1]
-    theta = css[cond][-1] / rho
-    return np.maximum(w - theta, 0.0)
-
-
-def _loss_derivs(stream: Stream, preds: np.ndarray) -> np.ndarray:
-    make = stream.loss_class.make
-    return np.array([make(l).gradient(float(p)) for l, p in zip(stream.labels.tolist(), preds)])
-
-
-def best_convex_hull_oracle(stream: Stream, pool: FunctionPool,
-                            gap_tol_scale: float = 1e-6, max_iter: int = 4000
+def best_convex_hull_oracle(stream: Stream, pool: FunctionPool
                             ) -> tuple[np.ndarray, float, np.ndarray]:
-    """Best fixed convex combination of pool members, in hindsight.
+    """Best fixed convex combination of pool members, in hindsight, for squared loss.
 
     Returns the weights w, the stream's total loss under them and their
     per-round values V @ w, with V the T x M matrix of pool values.
 
-    For the squared family the total is ||Vw - y||^2 / 2, a QP in M <= 64
-    variables.  It is solved exactly on G = V'V and b = V'y by an active-set
-    method, and w is returned only when its duality gap
-    grad'w - min(grad), grad = Gw - b, is at most 1e-9 * T; otherwise
-    ``RuntimeError`` is raised.  The other families run Frank-Wolfe until
-    the duality gap falls below gap_tol_scale * T, cross-checked against
-    projected gradient descent.
+    The total is ||Vw - y||^2 / 2, a QP in M <= 64 variables.  It is solved
+    exactly on G = V'V and b = V'y by an active-set method, and w is
+    returned only when its duality gap grad'w - min(grad), grad = Gw - b,
+    is at most 1e-9 * T; otherwise ``RuntimeError`` is raised.  A stream of
+    any other loss family raises ``ValueError`` before a pool value is
+    computed.
     """
+    family = stream.loss_class.family
+    if family != "squared":
+        raise ValueError(f"the offline hull oracle solves squared loss only, got {family!r}")
     m = len(pool)
     if m > 64:
         raise ValueError(f"pool too large for the offline oracle ({m} > 64); "
                          "use uniform_pool_comparator instead")
 
     V = _pool_matrix(stream, pool)
-    T = len(stream)
-
-    def total(w: np.ndarray) -> float:
-        return ComparatorSpec("best_convex_hull", V @ w, w).total_loss(stream)
-
-    if stream.loss_class.family == "squared":
-        G = V.T @ V
-        b = V.T @ stream.labels
-        tol = _SQUARED_GAP_TOL * T
-        w = _simplex_qp(G, b, tol)
-        grad = G @ w - b
-        gap = float(grad @ w - grad.min())
-        if not gap <= tol:
-            raise RuntimeError(f"hull oracle not certified: duality gap {gap:.3e} "
-                               f"exceeds the tolerance {tol:.3e}")
-        return w, total(w), V @ w
-
-    def fw() -> np.ndarray:
-        w = np.full(m, 1.0 / m)
-        for k in range(max_iter):
-            grad_w = V.T @ _loss_derivs(stream, V @ w)
-            j = int(np.argmin(grad_w))
-            gap = float(grad_w @ w - grad_w[j])
-            if gap <= gap_tol_scale * T:
-                break
-            gamma = 2.0 / (k + 2.0)
-            w = (1.0 - gamma) * w
-            w[j] += gamma
-        return w
-
-    def pgd() -> np.ndarray:
-        w = np.full(m, 1.0 / m)
-        # curvature of the total loss over the simplex: spectral norm of V
-        # squared, times the pointwise smoothness on the reachable value ball
-        sigma = float(np.linalg.svd(V, compute_uv=False)[0])
-        reach = max(float(np.abs(V).max()), 1e-12)
-        curvature = stream.loss_class.ball_params(reach).smoothness
-        lip = sigma * sigma * max(curvature, 1e-12) + 1e-12
-        step = 1.0 / lip
-        for _ in range(max_iter):
-            w_new = _project_simplex(w - step * (V.T @ _loss_derivs(stream, V @ w)))
-            if float(np.abs(w_new - w).max()) < 1e-12:
-                w = w_new
-                break
-            w = w_new
-        return w
-
-    w_fw = fw()
-    total_fw = total(w_fw)
-    w_pg = pgd()
-    total_pg = total(w_pg)
-    if abs(total_fw - total_pg) > 1e-5 * max(T, 1):
-        raise RuntimeError(
-            f"oracle cross-check failed: frank-wolfe {total_fw:.6f} vs "
-            f"projected gradient {total_pg:.6f}")
-    w = w_pg if total_pg < total_fw else w_fw
-    return w, min(total_fw, total_pg), V @ w
+    G = V.T @ V
+    b = V.T @ stream.labels
+    tol = _SQUARED_GAP_TOL * len(stream)
+    w = _simplex_qp(G, b, tol)
+    grad = G @ w - b
+    gap = float(grad @ w - grad.min())
+    if not gap <= tol:
+        raise RuntimeError(f"hull oracle not certified: duality gap {gap:.3e} "
+                           f"exceeds the tolerance {tol:.3e}")
+    values = V @ w
+    return w, ComparatorSpec("best_convex_hull", values, w).total_loss(stream), values
 
 
-def best_single_oracle(stream: Stream, pool: FunctionPool) -> tuple[int, float]:
-    """Best single pool member in hindsight."""
-    V = _pool_matrix(stream, pool)
-    make = stream.loss_class.make
-    totals = np.zeros(V.shape[1])
-    for label, row in zip(stream.labels.tolist(), V):
-        inst = make(label)
-        totals += np.array([inst.evaluate(float(v)) for v in row])
-    j = int(np.argmin(totals))
-    return j, float(totals[j])
-
-
-def hull_comparator(stream: Stream, pool: FunctionPool, **kw) -> ComparatorSpec:
+def hull_comparator(stream: Stream, pool: FunctionPool) -> ComparatorSpec:
     """Convex-hull oracle packaged as a comparator spec."""
-    w, _, values = best_convex_hull_oracle(stream, pool, **kw)
+    w, _, values = best_convex_hull_oracle(stream, pool)
     return ComparatorSpec("best_convex_hull", values, w, 1.0)
 
 

@@ -220,14 +220,15 @@ def execute_run(cfg: RunConfig) -> dict:
         summary["radius"] = booster.radius
     bound_report = None
     if comp is not None:
+        comp_loss = comp.total_loss(stream)
         summary["comparator"] = {"kind": comp.kind, "norm1": comp.norm1,
-                                 "total_loss": comp.total_loss(stream)}
+                                 "total_loss": comp_loss}
         summary["measured_regret"] = metrics.measured_regret()
         if committee is not None:
             base_regret = metrics.max_stage_regret()
             horizon = metrics.rounds
             if cfg.algo == "span":
-                delta0 = float(sum(li.evaluate(0.0) for _, li in stream)) - comp.total_loss(stream)
+                delta0 = bench.zero_comparator(len(stream)).total_loss(stream) - comp_loss
                 terms = bench.span_regret_bound(
                     delta0, booster.eta, cfg.stages, comp.norm1, booster.radius,
                     booster.lipschitz, booster.smoothness, horizon, base_regret)

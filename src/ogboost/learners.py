@@ -726,9 +726,6 @@ class SymmetrizedLearner(BaseLearner):
         self.schedule = _HedgeSchedule(3, horizon)
         self._last: tuple[Example, float, float] | None = None
 
-    def clone(self, tag: int = 0) -> "SymmetrizedLearner":
-        return SymmetrizedLearner(self.pos.clone(tag=2 * tag + 2), self.horizon)
-
     def arm_outputs(self, x: Example) -> tuple[float, float, float]:
         return (self.pos.predict(x), -self.neg.predict(x), 0.0)
 

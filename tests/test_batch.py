@@ -114,7 +114,7 @@ class TestSteps:
         # step must beat the plain step (closed-form quadratics)
         obj, dic, target = _orthonormal_problem([0.4])
         it = BatchIterate.zero(dic)
-        f2 = BatchIterate(it.coeffs, 2.0 * target, 1.0)
+        f2 = BatchIterate(2.0 * target, 1.0)
         assert obj.grad_pairing(f2.values, f2.values) > 0
         plain = ungated_step(obj, dic, f2, 0.1)
         gated = gated_step(obj, dic, f2, 0.1)
@@ -126,7 +126,7 @@ class TestSteps:
         for _ in range(50):
             f = rng.uniform(-0.5, 0.5, dic.n_points)
             pairing = obj.grad_pairing(f, f)
-            it = BatchIterate(np.zeros(len(dic)), f, 1.0)
+            it = BatchIterate(f, 1.0)
             out = gated_step(obj, dic, it, 0.1)
             j = base_argmin(obj, dic, f, 0.1)
             keep = 0.9 if pairing >= 0 else 1.0

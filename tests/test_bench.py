@@ -21,7 +21,6 @@ from ogboost.bench import (
     Stream,
     StreamFormatError,
     best_convex_hull_oracle,
-    best_single_oracle,
     hull_regret_bound,
     make_additive_stream,
     make_lower_bound_stream,
@@ -519,10 +518,25 @@ class TestOracles:
                                         0.05, 800, seed=9)
         sym = pool.symmetrized()  # includes the zero function
         _, hull_total, _ = best_convex_hull_oracle(stream, sym)
-        _, single_total = best_single_oracle(stream, sym)
+        V = np.array([sym.values(ex) for ex in stream.examples])
+        # each member as a comparator (its kind does not enter the loss)
+        single_total = min(ComparatorSpec("planted_span", V[:, j]).total_loss(stream)
+                           for j in range(V.shape[1]))
         zero_total = zero_comparator(len(stream)).total_loss(stream)
         assert hull_total <= single_total + 1e-9
         assert single_total <= zero_total + 1e-9
+
+    @pytest.mark.parametrize("family", ["linear", "logistic", "modified_least_squares",
+                                        "p_norm"])
+    def test_non_squared_family_rejected_before_any_pool_value(self, family):
+        def never_called(x):
+            raise AssertionError("pool member evaluated")
+
+        lc = LossClass(family, p=3.0) if family == "p_norm" else LossClass(family)
+        stream = Stream([Example({}, 0.1, eid=t) for t in range(20)], lc)
+        pool = FunctionPool([never_called, never_called])
+        with pytest.raises(ValueError, match=f"squared loss only, got '{family}'"):
+            best_convex_hull_oracle(stream, pool)
 
     def test_large_pool_rejected(self):
         stream, pool = make_lower_bound_stream(2, None, seed=3, pool_scale=1 / 50)

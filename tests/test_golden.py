@@ -16,7 +16,6 @@ updates the digests and says why in CHANGES.md.
 """
 
 import hashlib
-import inspect
 
 import numpy as np
 import pytest
@@ -52,39 +51,35 @@ def _stream(with_ids: bool) -> tuple[Stream, object]:
 
 
 def _stages(kind: str, algo: str, pool):
-    """(stage learners or committee, booster output bound, greedy?)"""
+    """(stage learners or committee, booster output bound)"""
     n = STAGES
     sym = pool.symmetrized()
     if kind == "ogd":
-        return [OnlineGradientLearner() for _ in range(n)], 1.0, False
+        return [OnlineGradientLearner() for _ in range(n)], 1.0
     if kind == "ogd-committee":
-        return ogd_committee(n), 1.0, False
+        return ogd_committee(n), 1.0
     if kind == "stump-committee":
-        return stump_committee(n), 1.0, False
+        return stump_committee(n), 1.0
     if kind == "hedge-committee":
-        return hedge_committee(sym, n, ROUNDS), 1.0, False
+        return hedge_committee(sym, n, ROUNDS), 1.0
     if kind == "hedge-doubling":
-        return [HedgeLearner(sym) for _ in range(n)], 1.0, False
+        return [HedgeLearner(sym) for _ in range(n)], 1.0
     if kind == "symmetrize-doubling":
-        return [symmetrize(OnlineGradientLearner()) for _ in range(n)], 1.0, False
+        return [symmetrize(OnlineGradientLearner()) for _ in range(n)], 1.0
     if kind == "scale":
-        return scale_wrap(stump_committee(n), 2.0), 2.0, False
+        return scale_wrap(stump_committee(n), 2.0), 2.0
     assert kind == "greedy"
     offset_bound = SQ.solve_ball_radius(auto_eta(n), n, 1.0) if algo == "span" else 1.0
     params = SQ.ball_params(offset_bound + 1.0)
     ads = [greedy_adapter(GreedyFitLearner(sym), ROUNDS, params, offset_bound=offset_bound)
            for _ in range(n)]
-    return ads, 1.0, True
+    return ads, 1.0
 
 
-def _booster(algo: str, stages, output_bound: float, greedy: bool):
-    cls = SpanBooster if algo == "span" else HullBooster
-    # boosters that take the greedy-offset switch as an argument need it set
-    extra = ({"greedy_offsets": True}
-             if greedy and "greedy_offsets" in inspect.signature(cls).parameters else {})
+def _booster(algo: str, stages, output_bound: float):
     if algo == "span":
-        return cls(SQ, stages, None, output_bound, **extra)
-    return cls(SQ, stages, output_bound, **extra)
+        return SpanBooster(SQ, stages, None, output_bound)
+    return HullBooster(SQ, stages, output_bound)
 
 
 def trace_digest(algo: str, kind: str, with_ids: bool) -> str:
