@@ -4,9 +4,16 @@ Each config runs progressive validation for T=400 rounds of one planted-hull
 stream and stores the sha256 of its ``test_losses`` bytes.  The configs cover
 both boosters over every stage kind: a list of OGD learners, the OGD, stump
 and Hedge committees, a list of ``HedgeLearner`` copies and of symmetrized OGD
-learners (both on the doubling schedule, ``horizon=None``), a stump committee
-scaled by 2 and greedy-offset adapters.  Each also runs on the same examples
-without ids, the ``Example`` default, where pool memos cannot key on an id.
+learners (both on the doubling schedule, ``horizon=None``), symmetrized stumps
+on the doubling schedule, symmetrized OGD with the known horizon T (as the CLI
+builds it), a stump committee scaled by 2 and greedy-offset adapters.  Each
+also runs on the same examples without ids, the ``Example`` default, where
+pool memos cannot key on an id.
+
+These keys read ``algo/kind/ids`` and use squared loss.  Keys with a fourth
+part ``algo/kind/ids/family`` run the OGD committee or the greedy stages on
+the same stream re-bound to another loss family (greedy needs a smooth
+family, so not ``linear``).
 
 The OGD committee must equal the list of OGD learners, so both kinds share
 their digests.
@@ -27,30 +34,30 @@ from ogboost.learners import (
     GreedyFitLearner,
     HedgeLearner,
     OnlineGradientLearner,
+    StumpLearner,
     greedy_adapter,
     hedge_committee,
     ogd_committee,
     stump_committee,
     symmetrize,
 )
-from ogboost.losses import LossClass
+from ogboost.losses import LossClass, parse_loss_flag
 
 ROUNDS = 400
 STAGES = 5
-SQ = LossClass("squared")
 WEIGHTS = [0.1, 0.15, 0.2, 0.25, 0.3]
 
 
-def _stream(with_ids: bool) -> tuple[Stream, object]:
+def _stream(with_ids: bool, loss_class: LossClass) -> tuple[Stream, object]:
     pool = make_region_pool(len(WEIGHTS))
     stream, _ = planted_hull_stream(pool, WEIGHTS, 0.05, ROUNDS, seed=11)
+    examples = stream.examples
     if not with_ids:
-        stream = Stream([Example(ex.features, ex.label) for ex in stream.examples],
-                        stream.loss_class)
-    return stream, pool
+        examples = [Example(ex.features, ex.label) for ex in examples]
+    return Stream(examples, loss_class), pool
 
 
-def _stages(kind: str, algo: str, pool):
+def _stages(kind: str, algo: str, pool, lc: LossClass):
     """(stage learners or committee, booster output bound)"""
     n = STAGES
     sym = pool.symmetrized()
@@ -66,27 +73,33 @@ def _stages(kind: str, algo: str, pool):
         return [HedgeLearner(sym) for _ in range(n)], 1.0
     if kind == "symmetrize-doubling":
         return [symmetrize(OnlineGradientLearner()) for _ in range(n)], 1.0
+    if kind == "symmetrize-stump-doubling":
+        return [symmetrize(StumpLearner()) for _ in range(n)], 1.0
+    if kind == "symmetrize-ogd-horizon":
+        return [symmetrize(OnlineGradientLearner(), ROUNDS) for _ in range(n)], 1.0
     if kind == "scale":
         return scale_wrap(stump_committee(n), 2.0), 2.0
     assert kind == "greedy"
-    offset_bound = SQ.solve_ball_radius(auto_eta(n), n, 1.0) if algo == "span" else 1.0
-    params = SQ.ball_params(offset_bound + 1.0)
+    offset_bound = lc.solve_ball_radius(auto_eta(n), n, 1.0) if algo == "span" else 1.0
+    params = lc.ball_params(offset_bound + 1.0)
     ads = [greedy_adapter(GreedyFitLearner(sym), ROUNDS, params, offset_bound=offset_bound)
            for _ in range(n)]
     return ads, 1.0
 
 
-def _booster(algo: str, stages, output_bound: float):
+def _booster(algo: str, lc: LossClass, stages, output_bound: float):
     if algo == "span":
-        return SpanBooster(SQ, stages, None, output_bound)
-    return HullBooster(SQ, stages, output_bound)
+        return SpanBooster(lc, stages, None, output_bound)
+    return HullBooster(lc, stages, output_bound)
 
 
-def trace_digest(algo: str, kind: str, with_ids: bool) -> str:
-    stream, pool = _stream(with_ids)
-    booster = _booster(algo, *_stages(kind, algo, pool))
+def trace_digest(algo: str, kind: str, with_ids: bool, family: str = "squared") -> str:
+    lc = parse_loss_flag(family)
+    stream, pool = _stream(with_ids, lc)
+    booster = _booster(algo, lc, *_stages(kind, algo, pool, lc))
     losses = progressive_validate(stream, booster).test_losses
     assert losses.dtype == np.float64 and losses.shape == (ROUNDS,)
+    assert np.isfinite(losses).all()
     return hashlib.sha256(losses.tobytes()).hexdigest()
 
 
@@ -123,10 +136,46 @@ GOLDEN = {
     "ch/scale/no-ids": "c3f5a4e5cc8b6116f62688d15ddb5ecb942a58c39a039e5c9a50382e74937a22",
     "ch/greedy/ids": "ff92bc2996d7bab26b3cece04c0460f1fb97e6d7dbf148ff057b983f2143dfa6",
     "ch/greedy/no-ids": "ff92bc2996d7bab26b3cece04c0460f1fb97e6d7dbf148ff057b983f2143dfa6",
+    "span/symmetrize-stump-doubling/ids": "58c5592b6a867e6d5f28afe46d9aeaaf458799a8125ab296e301a4fe6b5e1791",
+    "span/symmetrize-stump-doubling/no-ids": "58c5592b6a867e6d5f28afe46d9aeaaf458799a8125ab296e301a4fe6b5e1791",
+    "span/symmetrize-ogd-horizon/ids": "d832c9aa131abfaa183eab40ba52587eb3760da1161c8548b589057ab2e0150b",
+    "span/symmetrize-ogd-horizon/no-ids": "d832c9aa131abfaa183eab40ba52587eb3760da1161c8548b589057ab2e0150b",
+    "ch/symmetrize-stump-doubling/ids": "0e2ec16509950ab29c737ce8bd56ef7c8d5a0f7ce160a022aad532efac32cd6f",
+    "ch/symmetrize-stump-doubling/no-ids": "0e2ec16509950ab29c737ce8bd56ef7c8d5a0f7ce160a022aad532efac32cd6f",
+    "ch/symmetrize-ogd-horizon/ids": "93d374bc7da8532f0d1b540a6f2379348f51c7bd48c3f18ae502724d59ebf9fd",
+    "ch/symmetrize-ogd-horizon/no-ids": "93d374bc7da8532f0d1b540a6f2379348f51c7bd48c3f18ae502724d59ebf9fd",
+    "span/ogd-committee/ids/linear": "e2c781d0d0860defe5785439e68360f7b1817d033eb54b4c70b52e7e37ff3742",
+    "span/ogd-committee/no-ids/linear": "e2c781d0d0860defe5785439e68360f7b1817d033eb54b4c70b52e7e37ff3742",
+    "span/ogd-committee/ids/p-norm:3": "77d82ce153ceb1c686c46a74728ebe8d4c84b703cd15856a4bd20c79fc085333",
+    "span/ogd-committee/no-ids/p-norm:3": "77d82ce153ceb1c686c46a74728ebe8d4c84b703cd15856a4bd20c79fc085333",
+    "span/ogd-committee/ids/mls": "2eb5d27ae3c76323390b2a0f90d4952b96ea44f3e39f753e1997d11e4ecca252",
+    "span/ogd-committee/no-ids/mls": "2eb5d27ae3c76323390b2a0f90d4952b96ea44f3e39f753e1997d11e4ecca252",
+    "span/ogd-committee/ids/logistic": "5138c3ddf34905fe48b0f9c5151ea664220b16d1a09cef28ff107cdcc2314ed5",
+    "span/ogd-committee/no-ids/logistic": "5138c3ddf34905fe48b0f9c5151ea664220b16d1a09cef28ff107cdcc2314ed5",
+    "span/greedy/ids/p-norm:3": "99a029a90d636435268edda83448e02368b8ff4dd76559a091408505aeff1000",
+    "span/greedy/no-ids/p-norm:3": "99a029a90d636435268edda83448e02368b8ff4dd76559a091408505aeff1000",
+    "span/greedy/ids/mls": "d30a57beb47d24947599ff2144850249def9aeddbf6d1cc92f37946c3ec31964",
+    "span/greedy/no-ids/mls": "d30a57beb47d24947599ff2144850249def9aeddbf6d1cc92f37946c3ec31964",
+    "span/greedy/ids/logistic": "809b087a288109be98d11fbe0eee2c5d17e58bc00cbff876f8a0867f2d86e648",
+    "span/greedy/no-ids/logistic": "809b087a288109be98d11fbe0eee2c5d17e58bc00cbff876f8a0867f2d86e648",
+    "ch/ogd-committee/ids/linear": "03b4e10aecd0b84a8ddc94e89769986b9cb9b91a137bd447b7b5ecaa0408b631",
+    "ch/ogd-committee/no-ids/linear": "03b4e10aecd0b84a8ddc94e89769986b9cb9b91a137bd447b7b5ecaa0408b631",
+    "ch/ogd-committee/ids/p-norm:3": "65459bcf39fade6c4cc3aad8e5489734c4ddddde78ac973b5994105152014b46",
+    "ch/ogd-committee/no-ids/p-norm:3": "65459bcf39fade6c4cc3aad8e5489734c4ddddde78ac973b5994105152014b46",
+    "ch/ogd-committee/ids/mls": "d02c283be5d7b68f2de110d64250c194aac6d04099a662f7d12a862a43931702",
+    "ch/ogd-committee/no-ids/mls": "d02c283be5d7b68f2de110d64250c194aac6d04099a662f7d12a862a43931702",
+    "ch/ogd-committee/ids/logistic": "0abb47dd68462541ed0880b1da082cb9bf0107695fdf53e9bc4d478982b8262b",
+    "ch/ogd-committee/no-ids/logistic": "0abb47dd68462541ed0880b1da082cb9bf0107695fdf53e9bc4d478982b8262b",
+    "ch/greedy/ids/p-norm:3": "ff017e66f9e715fd2cd3551e3f85f09008bab58bdad2f24436b4adb00e19def3",
+    "ch/greedy/no-ids/p-norm:3": "ff017e66f9e715fd2cd3551e3f85f09008bab58bdad2f24436b4adb00e19def3",
+    "ch/greedy/ids/mls": "85ebc9280c490a890d1f90f83d1b6927e5ad6d889a1c98aab76342961078834a",
+    "ch/greedy/no-ids/mls": "85ebc9280c490a890d1f90f83d1b6927e5ad6d889a1c98aab76342961078834a",
+    "ch/greedy/ids/logistic": "a69f42622b477157894dbb9a0a158a6b768ec96a0c49f323e7bc12979bc05060",
+    "ch/greedy/no-ids/logistic": "a69f42622b477157894dbb9a0a158a6b768ec96a0c49f323e7bc12979bc05060",
 }
 
 
 @pytest.mark.parametrize("key", sorted(GOLDEN))
 def test_golden_trace(key):
-    algo, kind, ids = key.split("/")
-    assert trace_digest(algo, kind, ids == "ids") == GOLDEN[key]
+    algo, kind, ids, *family = key.split("/")
+    assert trace_digest(algo, kind, ids == "ids", *family) == GOLDEN[key]
