@@ -6,12 +6,10 @@ from .learners import (
     BaseLearner,
     FunctionPool,
     GreedyFitLearner,
-    GreedyStepAdapter,
     HedgeLearner,
     LowerBoundPool,
     OnlineGradientLearner,
     StumpLearner,
-    SymmetrizedLearner,
     greedy_adapter,
     hedge_committee,
     make_lower_bound_pool,

@@ -17,8 +17,7 @@ The stages are one committee (see ``ogboost.learners``): a round makes one
 committee ``predict`` for all N stage predictions and one ``update`` with
 all N feedbacks.  A plain list of learners is wrapped in a committee that
 calls them one by one; ``booster.learners`` is then ``[committee]``.
-Greedy-offset stages (``GreedyFitLearner``, ``GreedyStepAdapter``) predict
-without an offset, so they run through the same round; their update takes
+Greedy-offset stages (``GreedyFitLearner``) predict without an offset, so they run through the same round; their update takes
 the round's partial sums y^0 .. y^{N-1} as offsets, plus the true loss, in
 place of the feedbacks.  A booster finds out from its stage learners which
 update they take.

@@ -90,8 +90,14 @@ class RunConfig:
             errs.append(f"--loss: {e}")
         if self.base not in ("ogd", "stump", "hedge-pool", "greedy"):
             errs.append(f"--base must be one of ogd, stump, hedge-pool, greedy, got {self.base!r}")
-        if self.scale < 1.0:
-            errs.append(f"--scale must be >= 1, got {self.scale}")
+        if not (math.isfinite(self.scale) and self.scale >= 1.0):
+            errs.append(f"--scale must be finite and >= 1, got {self.scale}")
+        if not (math.isfinite(self.lr) and self.lr > 0.0):
+            errs.append(f"--lr must be finite and > 0, got {self.lr}")
+        if not (math.isfinite(self.noise) and self.noise >= 0.0):
+            errs.append(f"--noise must be finite and >= 0, got {self.noise}")
+        if not (math.isfinite(self.norm1) and self.norm1 > 0.0):
+            errs.append(f"--norm1 must be finite and > 0, got {self.norm1}")
         if self.base == "greedy" and (self.symmetrize or self.scale > 1.0):
             errs.append("--base greedy cannot be combined with --symmetrize or --scale")
         if self.symmetrize and self.base == "hedge-pool":
@@ -163,18 +169,17 @@ def build_learners(cfg: RunConfig, stream, pool, loss_class):
     horizon = len(stream)
     committee = None
     if cfg.base in ("ogd", "stump"):
-        ogd = cfg.base == "ogd"
-        if cfg.symmetrize:  # the wrapper needs one learner object per stage
-            single = learners.OnlineGradientLearner if ogd else learners.StumpLearner
-            stage = [single(1.0, cfg.lr) for _ in range(n)]
+        make = learners.ogd_committee if cfg.base == "ogd" else learners.stump_committee
+        if cfg.symmetrize:
+            stage = learners.symmetrize(lambda: make(n, 1.0, cfg.lr), horizon)
         else:
-            stage = (learners.ogd_committee if ogd else learners.stump_committee)(n, 1.0, cfg.lr)
+            stage = make(n, 1.0, cfg.lr)
     elif cfg.base == "hedge-pool":
         if pool is None:
             raise ValueError("--base hedge-pool requires a synthetic pool stream")
         committee = pool.symmetrized()
         stage = learners.hedge_committee(committee, n, horizon, seed=cfg.seed)
-    else:  # greedy
+    else:  # greedy: one fitter per stage, the only per-copy path
         if pool is None:
             raise ValueError("--base greedy requires a synthetic pool stream")
         if cfg.algo == "span":
@@ -187,11 +192,8 @@ def build_learners(cfg: RunConfig, stream, pool, loss_class):
         stage = [learners.greedy_adapter(learners.GreedyFitLearner(sym), horizon,
                                          params, offset_bound=offset_bound)
                  for _ in range(n)]
-    if cfg.symmetrize:
-        stage = [learners.symmetrize(l, horizon) for l in stage]
-    if cfg.scale > 1.0:
-        stage = (boosting.scale_wrap(stage, cfg.scale) if not isinstance(stage, list)
-                 else [boosting.scale_wrap(l, cfg.scale) for l in stage])
+    if cfg.scale > 1.0:  # validate() rules out greedy, so this wraps one committee
+        stage = boosting.scale_wrap(stage, cfg.scale)
     return stage, committee
 
 
@@ -266,7 +268,16 @@ def _write_run_tsv(path: Path, metrics: bench.RunMetrics) -> None:
 # subcommand: batch-compare
 
 
+def _check_counts(args, *names: str) -> None:
+    """Reject each named count flag below 1 as a configuration error."""
+    errs = [f"--{name} must be >= 1, got {getattr(args, name)}"
+            for name in names if getattr(args, name) < 1]
+    if errs:
+        raise ConfigError(errs)
+
+
 def execute_batch_compare(args) -> dict:
+    _check_counts(args, "stages")
     objective, dictionary, comp_values, norm1 = batch_mod.make_planted_batch_problem(
         n_atoms=args.atoms, norm1=args.norm1, seed=args.seed, magnet_junk=args.magnet_junk)
     schedule = [args.step_size] * args.stages
@@ -322,6 +333,7 @@ def lower_bound_once(stages: int, seed: int, pool_scale: float, rounds: int | No
 
 
 def execute_lower_bound(args) -> dict:
+    _check_counts(args, "stages", "seeds")
     results = [lower_bound_once(args.stages, args.seed + i, args.scale_c, args.rounds)
                for i in range(args.seeds)]
     t = results[0]["rounds"]

@@ -12,12 +12,13 @@ was y -> g . y.  Implementations:
 * ``HedgeLearner`` -- multiplicative weights over a finite function pool,
   either as a deterministic weighted average or sampling one pool member
   per round.
-* ``symmetrize`` -- Hedge mixture of a learner, its negation-trained twin
-  and the zero arm, extending the comparator class with negations.
-* ``GreedyFitLearner`` / ``greedy_adapter`` -- a follow-the-leader fitter
-  that consumes the true loss at an offset instead of linear feedback.  Both
-  carry the class marker ``greedy_offsets``, from which a booster learns
-  that its stages update on offsets.
+* ``symmetrize`` -- per stage of a committee, a Hedge mixture of the
+  stage, its negation-trained twin in a second committee and the zero arm,
+  extending the comparator class with negations.
+* ``GreedyFitLearner`` -- a follow-the-leader fitter that consumes the true
+  loss at an offset instead of linear feedback, with its step size and
+  offset bound fixed by ``greedy_adapter``.  Its class marker
+  ``greedy_offsets`` tells a booster that its stages update on offsets.
 
 A booster runs N copies of one learner that all see the same example, so
 a stage committee is one object with two calls per round: ``predict(x)``
@@ -79,10 +80,6 @@ class BaseLearner:
         raise NotImplementedError
 
     def update(self, x: Example, fb) -> None:
-        raise NotImplementedError
-
-    def clone(self, tag: int = 0) -> "BaseLearner":
-        """Fresh copy with the same configuration (distinct RNG stream)."""
         raise NotImplementedError
 
 
@@ -218,9 +215,6 @@ class OnlineGradientLearner(BaseLearner):
         self._gmax = 1e-12
         self._t = 0
 
-    def clone(self, tag: int = 0) -> "OnlineGradientLearner":
-        return OnlineGradientLearner(self.output_bound, self.lr_scale)
-
     def predict(self, x: Example) -> float:
         w = self.w
         s = 0.0
@@ -285,9 +279,6 @@ class StumpLearner(BaseLearner):
         self.output_bound = output_bound
         self.lr_scale = lr_scale
         self._state: dict[int, list] = {}
-
-    def clone(self, tag: int = 0) -> "StumpLearner":
-        return StumpLearner(self.output_bound, self.lr_scale)
 
     @property
     def w(self) -> dict[int, float]:
@@ -611,16 +602,10 @@ class HedgeLearner(BaseLearner):
         self.output_bound = pool.output_bound
         self.mode = mode
         self.deterministic = mode == "average"
-        self.horizon = horizon
-        self.seed = seed
         self._rng = seeded_rng(seed, "hedge") if mode == "sample" else None
         m = len(pool)
         self.weights = np.full(m, 1.0 / m)
         self.schedule = _HedgeSchedule(m, horizon)
-
-    def clone(self, tag: int = 0) -> "HedgeLearner":
-        return HedgeLearner(self.pool, self.horizon, self.mode,
-                            seed=self.seed + 7919 * (tag + 1))
 
     def predict(self, x: Example) -> float:
         vals = self.pool.values(x)
@@ -702,63 +687,66 @@ def hedge_committee(pool: FunctionPool, n: int, horizon: int, mode: str = "avera
     return HedgeCommittee(pool, n, horizon, mode, seed)
 
 
-class SymmetrizedLearner(BaseLearner):
-    """Hedge mixture of a learner, its negation-trained twin and zero.
+class SymmetrizedCommittee:
+    """N Hedge mixtures of a stage, its negation-trained twin and zero.
 
-    The positive copy receives the round's feedback, the twin receives the
-    negated feedback and its prediction enters the mixture negated, and a
-    constant-zero arm is included, so the composite competes with the
-    original comparators, their negations and the zero function.  The
-    mixture is a deterministic convex combination; mixing weights update
-    after the round's loss is observed.
+    ``pos`` and ``twin`` are two fresh committees of N stages built the same
+    way.  Stage i of ``pos`` learns from the feedback g_i and stage i of the
+    twin from -g_i, entering the mixture negated, so with the zero arm each
+    mixture competes with the comparators, their negations and zero.  The N
+    mixtures are the rows of one (N x 3) array, updated after the round's
+    loss is observed under one ``_HedgeSchedule``, as all stages step
+    together.
     """
 
-    def __init__(self, inner: BaseLearner, horizon: int | None = None):
-        super().__init__()
-        if inner.updates > 0:
-            raise ValueError("symmetrize requires a fresh learner (no prior updates)")
-        self.pos = inner
-        self.neg = inner.clone(tag=1)
-        self.output_bound = inner.output_bound
-        self.deterministic = inner.deterministic
-        self.horizon = horizon
-        self.mix = np.full(3, 1.0 / 3.0)
+    def __init__(self, pos, twin, horizon: int | None = None):
+        if len(pos) != len(twin):
+            raise ValueError(f"twin committee has {len(twin)} stages, expected {len(pos)}")
+        self.pos = pos
+        self.twin = twin
+        self.output_bound = pos.output_bound
+        self.deterministic = getattr(pos, "deterministic", False)
+        self.mix = np.full((len(pos), 3), 1.0 / 3.0)
         self.schedule = _HedgeSchedule(3, horizon)
-        self._last: tuple[Example, float, float] | None = None
+        self._last: tuple | None = None  # (example, arms) of the last predict
 
-    def arm_outputs(self, x: Example) -> tuple[float, float, float]:
-        return (self.pos.predict(x), -self.neg.predict(x), 0.0)
+    def __len__(self) -> int:
+        return len(self.mix)
 
-    def predict(self, x: Example) -> float:
-        a = self.arm_outputs(x)
-        self._last = (x, a[0], a[1])
+    def arm_outputs(self, x: Example) -> tuple[np.ndarray, np.ndarray]:
+        """The N positive-stage predictions and the N negated twin predictions."""
+        return np.array(self.pos.predict(x)), -np.array(self.twin.predict(x))
+
+    def predict(self, x: Example) -> list[float]:
+        a_pos, a_neg = arms = self.arm_outputs(x)
+        self._last = (x, arms)
         m = self.mix
-        return m[0] * a[0] + m[1] * a[1] + m[2] * a[2]
+        return (m[:, 0] * a_pos + m[:, 1] * a_neg + m[:, 2] * 0.0).tolist()
 
     def update(self, x: Example, fb) -> None:
-        g = _check_feedback(fb)
-        self.updates += 1
-        if self._last is not None and self._last[0] is x:
-            a_pos, a_neg = self._last[1], self._last[2]
-        else:
-            a_pos, a_neg, _ = self.arm_outputs(x)
+        g = _feedback_vector(fb, len(self.mix))
+        last, self._last = self._last, None
+        a_pos, a_neg = last[1] if last is not None and last[0] is x else self.arm_outputs(x)
         # arm losses normalized to [-1, 1] by the output bound
         D = self.output_bound
-        losses = np.array([g * a_pos / D, g * a_neg / D, 0.0])
+        losses = np.stack((g * a_pos / D, g * a_neg / D, np.zeros_like(g)), axis=1)
         mix = self.mix
         mix *= np.exp(-self.schedule.rate * losses)
         if self.schedule.step():
             mix[:] = 1.0 / 3.0
         else:
-            mix /= mix.sum()
+            mix /= (mix[:, 0] + mix[:, 1] + mix[:, 2])[:, None]
         self.pos.update(x, g)
-        self.neg.update(x, -g)
-        self._last = None
+        self.twin.update(x, -g)
 
 
-def symmetrize(learner: BaseLearner, horizon: int | None = None) -> SymmetrizedLearner:
-    """Wrap a fresh learner so it also competes with negated comparators."""
-    return SymmetrizedLearner(learner, horizon)
+def symmetrize(build: Callable[[], object], horizon: int | None = None) -> SymmetrizedCommittee:
+    """Symmetrize a committee so each stage also competes with negated comparators.
+
+    ``build()`` must return a fresh committee of N stages, such as
+    ``ogd_committee(n)``; its second call builds the negation-trained twin.
+    """
+    return SymmetrizedCommittee(build(), build(), horizon)
 
 
 # ---------------------------------------------------------------------------
@@ -771,11 +759,14 @@ class GreedyFitLearner:
     Instead of linear feedback it receives, each round, an offset y' and
     the round's true loss, suffering loss(y' + alpha * prediction).  The
     prediction is the pool member with the lowest cumulative offset loss so
-    far (ties to the lowest index).
+    far (ties to the lowest index).  An update offset beyond
+    ``offset_bound`` is a contract violation and raises; ``greedy_adapter``
+    fixes both alpha and the bound from the booster's configuration.
     """
 
     deterministic = True
     greedy_offsets = True
+    offset_bound = math.inf
 
     def __init__(self, pool: FunctionPool, alpha: float = 0.0):
         if alpha < 0:
@@ -791,69 +782,38 @@ class GreedyFitLearner:
         return float(vals[int(np.argmin(self.cum))])
 
     def update(self, x: Example, offset: Vector, loss: LossInstance) -> None:
+        if vnorm(offset) > self.offset_bound + FEEDBACK_TOL:
+            raise ValueError(f"offset norm {vnorm(offset):.6g} exceeds declared bound "
+                             f"{self.offset_bound}")
         self.updates += 1
         vals = self.pool.values(x)
         a = self.alpha
         self.cum += np.array([loss.evaluate(offset + a * v) for v in vals])
 
 
-class GreedyStepAdapter:
-    """Adapts a greedy fitter to the booster's offset-passing wiring.
+def greedy_adapter(fitter: GreedyFitLearner, horizon: int, smooth_params: BallParams,
+                   offset_bound: float, regret_model: str = "sqrt",
+                   regret_fn: Callable[[int], float] = math.sqrt) -> GreedyFitLearner:
+    """Fix a greedy fitter's step size and offset bound in advance; returns the fitter.
 
-    The step size alpha is computed from a regret model R(T) for the inner
+    The step size alpha is computed from a regret model R(T) for the
     fitter:
 
       regret_model="sqrt":         alpha = sqrt(2 R(T) / (beta' D^2 T))
       regret_model="alpha-linear": alpha = 2 R(T) / (beta' D^2 T)
 
     where beta' is the loss smoothness on the enlarged ball reached by
-    offset + alpha * prediction.  An update offset beyond ``offset_bound``
-    is a contract violation and raises.
+    offset + alpha * prediction.
     """
-
-    deterministic = True
-    greedy_offsets = True
-
-    def __init__(self, inner: GreedyFitLearner, horizon: int, smooth_params: BallParams,
-                 offset_bound: float, regret_model: str = "sqrt",
-                 regret_fn: Callable[[int], float] = math.sqrt):
-        if regret_model not in ("sqrt", "alpha-linear"):
-            raise ValueError(f"unknown regret model {regret_model!r}")
-        if horizon < 1:
-            raise ValueError("horizon must be >= 1")
-        self.inner = inner
-        self.horizon = horizon
-        self.offset_bound = offset_bound
-        self.regret_model = regret_model
-        self.output_bound = inner.output_bound
-        self.updates = 0
-        D = inner.output_bound
-        beta = smooth_params.smoothness
-        r = regret_fn(horizon)
-        denom = beta * D * D * horizon
-        if denom <= 0:
-            raise ValueError("smoothness, output bound and horizon must be positive")
-        if regret_model == "sqrt":
-            self.alpha = math.sqrt(2.0 * r / denom)
-        else:
-            self.alpha = 2.0 * r / denom
-        inner.alpha = self.alpha
-
-    def predict(self, x: Example) -> float:
-        return self.inner.predict(x)
-
-    def update(self, x: Example, offset: Vector, loss: LossInstance) -> None:
-        if vnorm(offset) > self.offset_bound + FEEDBACK_TOL:
-            raise ValueError(
-                f"offset norm {vnorm(offset):.6g} exceeds declared bound {self.offset_bound}"
-            )
-        self.updates += 1
-        self.inner.update(x, offset, loss)
-
-
-def greedy_adapter(inner: GreedyFitLearner, horizon: int, smooth_params: BallParams,
-                   offset_bound: float, regret_model: str = "sqrt",
-                   regret_fn: Callable[[int], float] = math.sqrt) -> GreedyStepAdapter:
-    """Build the offset adapter with its step size fixed in advance."""
-    return GreedyStepAdapter(inner, horizon, smooth_params, offset_bound,
-                             regret_model, regret_fn)
+    if regret_model not in ("sqrt", "alpha-linear"):
+        raise ValueError(f"unknown regret model {regret_model!r}")
+    if horizon < 1:
+        raise ValueError("horizon must be >= 1")
+    D = fitter.output_bound
+    r = regret_fn(horizon)
+    denom = smooth_params.smoothness * D * D * horizon
+    if denom <= 0:
+        raise ValueError("smoothness, output bound and horizon must be positive")
+    fitter.alpha = math.sqrt(2.0 * r / denom) if regret_model == "sqrt" else 2.0 * r / denom
+    fitter.offset_bound = offset_bound
+    return fitter

@@ -46,9 +46,6 @@ class ConstLearner:
         self.updates += 1
         self.feedbacks.append(fb)
 
-    def clone(self, tag=0):
-        return ConstLearner(self.value, self.output_bound)
-
 
 def _ex(eid=0):
     return Example({0: 1.0}, 0.5, eid)

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from ogboost.cli import (
     EXIT_BOUNDS,
@@ -40,6 +41,39 @@ class TestValidation:
         assert any("greedy" in e for e in cfg.validate())
         cfg = RunConfig(base="greedy", scale=2.0)
         assert any("greedy" in e for e in cfg.validate())
+
+    # each float flag's valid range; anything else must be rejected by name
+    FLOAT_FLAGS = {"lr": lambda v: v > 0, "scale": lambda v: v >= 1,
+                   "noise": lambda v: v >= 0, "norm1": lambda v: v > 0}
+
+    @given(field=st.sampled_from(sorted(FLOAT_FLAGS)), value=st.floats())
+    @example(field="lr", value=math.nan)
+    @example(field="scale", value=math.inf)
+    @example(field="noise", value=-math.inf)
+    @example(field="norm1", value=-2.0)
+    @example(field="lr", value=1e308)
+    def test_float_flags_named_or_accepted(self, field, value):
+        errs = RunConfig(**{field: value}).validate()
+        if math.isfinite(value) and self.FLOAT_FLAGS[field](value):
+            assert errs == []
+        else:
+            assert errs and all(e.startswith(f"--{field} ") for e in errs)
+
+    @pytest.mark.parametrize("argv", [
+        ["--scale", "nan"], ["--scale", "inf"], ["--lr", "nan"], ["--lr", "-1"],
+        ["--noise", "nan"], ["--noise", "-1"], ["--norm1", "nan"], ["--norm1", "-2"]])
+    def test_bad_float_flag_exits_config_naming_it(self, capsys, tmp_path, argv):
+        code, out, err = _run(["run", "--rounds", "300", *argv, "--out-dir", str(tmp_path)],
+                              capsys)
+        assert code == EXIT_CONFIG
+        assert f"config error: {argv[0]} " in err
+        assert not list(tmp_path.iterdir())  # rejected before any run
+
+    def test_grid_child_lr_checked(self, capsys, tmp_path):
+        code, out, err = _run(["grid", "--grid-lr", "0.5,nan", "--rounds", "300",
+                               "--workers", "1", "--out-dir", str(tmp_path)], capsys)
+        assert code == EXIT_CONFIG
+        assert "--lr" in err
 
     def test_every_flag_maps_to_config_field(self):
         parser = build_parser()
@@ -240,7 +274,21 @@ class TestBatchCompare:
             assert row[5] == pytest.approx(tr_g.bound[i], rel=1e-9)
 
 
+    def test_zero_stages_is_config_error(self, capsys, tmp_path):
+        code, out, err = _run(["batch-compare", "--stages", "0", "--out-dir", str(tmp_path)],
+                              capsys)
+        assert code == EXIT_CONFIG
+        assert "--stages" in err
+        assert not list(tmp_path.iterdir())
+
+
 class TestLowerBound:
+    @pytest.mark.parametrize("flag", ["--seeds", "--stages"])
+    def test_zero_count_is_config_error(self, capsys, tmp_path, flag):
+        code, out, err = _run(["lower-bound", flag, "0", "--out-dir", str(tmp_path)], capsys)
+        assert code == EXIT_CONFIG
+        assert flag in err
+
     def test_reference_lines_emitted(self, capsys, tmp_path):
         code, out, err = _run([
             "lower-bound", "--stages", "2", "--seeds", "2",

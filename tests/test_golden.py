@@ -3,12 +3,15 @@
 Each config runs progressive validation for T=400 rounds of one planted-hull
 stream and stores the sha256 of its ``test_losses`` bytes.  The configs cover
 both boosters over every stage kind: a list of OGD learners, the OGD, stump
-and Hedge committees, a list of ``HedgeLearner`` copies and of symmetrized OGD
-learners (both on the doubling schedule, ``horizon=None``), symmetrized stumps
-on the doubling schedule, symmetrized OGD with the known horizon T (as the CLI
-builds it), a stump committee scaled by 2 and greedy-offset adapters.  Each
-also runs on the same examples without ids, the ``Example`` default, where
-pool memos cannot key on an id.
+and Hedge committees, a list of ``HedgeLearner`` copies and a symmetrized OGD
+committee (both on the doubling schedule, ``horizon=None``), a symmetrized
+stump committee on the doubling schedule, a symmetrized OGD committee with the
+known horizon T (as the CLI builds it), a stump committee scaled by 2 and
+greedy fitters.  Each also runs on the same examples without ids, the
+``Example`` default, where pool memos cannot key on an id.
+
+The symmetrized digests were recorded from lists of per-learner wrappers,
+which the committees replaced; they must equal those lists bit for bit.
 
 These keys read ``algo/kind/ids`` and use squared loss.  Keys with a fourth
 part ``algo/kind/ids/family`` run the OGD committee or the greedy stages on
@@ -34,7 +37,6 @@ from ogboost.learners import (
     GreedyFitLearner,
     HedgeLearner,
     OnlineGradientLearner,
-    StumpLearner,
     greedy_adapter,
     hedge_committee,
     ogd_committee,
@@ -72,11 +74,11 @@ def _stages(kind: str, algo: str, pool, lc: LossClass):
     if kind == "hedge-doubling":
         return [HedgeLearner(sym) for _ in range(n)], 1.0
     if kind == "symmetrize-doubling":
-        return [symmetrize(OnlineGradientLearner()) for _ in range(n)], 1.0
+        return symmetrize(lambda: ogd_committee(n)), 1.0
     if kind == "symmetrize-stump-doubling":
-        return [symmetrize(StumpLearner()) for _ in range(n)], 1.0
+        return symmetrize(lambda: stump_committee(n)), 1.0
     if kind == "symmetrize-ogd-horizon":
-        return [symmetrize(OnlineGradientLearner(), ROUNDS) for _ in range(n)], 1.0
+        return symmetrize(lambda: ogd_committee(n), ROUNDS), 1.0
     if kind == "scale":
         return scale_wrap(stump_committee(n), 2.0), 2.0
     assert kind == "greedy"

@@ -50,7 +50,8 @@ class TestFeedbackContract:
 
     @pytest.mark.parametrize("make", [lambda: stump_committee(2),
                                       lambda: hedge_committee(_const_pool([0.3, -0.3]), 2, 10),
-                                      lambda: ogd_committee(2)])
+                                      lambda: ogd_committee(2),
+                                      lambda: symmetrize(lambda: ogd_committee(2))])
     def test_committee_checks_every_stage_feedback(self, make):
         committee = make()
         ex = _ex({0: 1.0}, eid=0)
@@ -311,20 +312,14 @@ class TestHedgeLearner:
 
 
 class TestSymmetrize:
-    def test_requires_fresh_learner(self):
-        lrn = OnlineGradientLearner()
-        lrn.update(_ex({0: 1.0}), 0.5)
-        with pytest.raises(ValueError):
-            symmetrize(lrn)
-
     def test_zero_feedback_keeps_uniform_mixture(self):
         pool = _const_pool([0.4, 0.1])
-        comp = symmetrize(HedgeLearner(pool, horizon=100), horizon=100)
+        comp = symmetrize(lambda: hedge_committee(pool, 1, 100), horizon=100)
         ex = _ex({0: 1.0}, eid=0)
-        a_pos, a_neg, zero = comp.arm_outputs(ex)
-        expected = (a_pos + a_neg + zero) / 3.0
-        assert comp.predict(ex) == pytest.approx(expected, abs=1e-15)
-        comp.update(ex, 0.0)
+        a_pos, a_neg = comp.arm_outputs(ex)
+        expected = (a_pos[0] + a_neg[0] + 0.0) / 3.0
+        assert comp.predict(ex) == [pytest.approx(expected, abs=1e-15)]
+        comp.update(ex, [0.0])
         np.testing.assert_allclose(comp.mix, 1.0 / 3.0, atol=1e-15)
 
     def test_constant_positive_feedback_favors_negative_arm(self):
@@ -338,7 +333,7 @@ class TestSymmetrize:
         def fresh():
             return OnlineGradientLearner(output_bound=1.0)
 
-        comp = symmetrize(fresh(), horizon=rounds)
+        comp = symmetrize(lambda: ogd_committee(1, 1.0), horizon=rounds)
         mirror_pos = fresh()
         mirror_neg = fresh()
         comp_loss = 0.0
@@ -346,10 +341,10 @@ class TestSymmetrize:
         for t in range(rounds):
             x = rng.uniform(0.2, 1.0)
             ex = _ex({0: float(x)}, eid=t)
-            comp_loss += comp.predict(ex)
+            comp_loss += comp.predict(ex)[0]
             pos_loss += mirror_pos.predict(ex)
             neg_loss += -mirror_neg.predict(ex)
-            comp.update(ex, 1.0)
+            comp.update(ex, [1.0])
             mirror_pos.update(ex, 1.0)
             mirror_neg.update(ex, -1.0)
         best_arm = min(pos_loss, neg_loss, 0.0)
@@ -359,41 +354,41 @@ class TestSymmetrize:
         # fixed-output inner learner: with g = +1 the negated copy is the
         # only arm with negative loss, so its mixing weight must dominate
         rounds = 200
-        comp = symmetrize(HedgeLearner(_const_pool([0.4]), horizon=rounds),
+        comp = symmetrize(lambda: hedge_committee(_const_pool([0.4]), 1, rounds),
                           horizon=rounds)
         for t in range(rounds):
             ex = _ex({0: 1.0}, eid=t)
             comp.predict(ex)
-            comp.update(ex, 1.0)
-        assert comp.mix[1] > comp.mix[0]
-        assert comp.mix[1] > comp.mix[2]
+            comp.update(ex, [1.0])
+        assert comp.mix[0, 1] > comp.mix[0, 0]
+        assert comp.mix[0, 1] > comp.mix[0, 2]
 
     def test_update_uses_arms_of_its_own_example_without_ids(self):
         # every example without an id has eid -1, so arms cached by
         # predict(a) must not be reused by update(b)
         def warmed():
-            comp = symmetrize(OnlineGradientLearner(output_bound=1.0), horizon=50)
+            comp = symmetrize(lambda: ogd_committee(2, 1.0), horizon=50)
             for _ in range(5):
                 ex = _ex({0: 1.0, 1: 0.5})
                 comp.predict(ex)
-                comp.update(ex, 0.8)
+                comp.update(ex, [0.8, -0.3])
             return comp
 
         a, b = _ex({0: 1.0}), _ex({1: -1.0})
         stale, twin = warmed(), warmed()
         stale.predict(a)
-        stale.update(b, 0.9)
+        stale.update(b, [0.9, 0.4])
         twin.predict(b)
-        twin.update(b, 0.9)
+        twin.update(b, [0.9, 0.4])
         np.testing.assert_array_equal(stale.mix, twin.mix)
 
     def test_output_bound_preserved(self):
         pool = _const_pool([1.0, -1.0])
-        comp = symmetrize(HedgeLearner(pool, horizon=10), horizon=10)
+        comp = symmetrize(lambda: hedge_committee(pool, 1, 10), horizon=10)
         for t in range(10):
             ex = _ex({0: 1.0}, eid=t)
-            assert abs(comp.predict(ex)) <= 1.0 + 1e-9
-            comp.update(ex, 0.3)
+            assert abs(comp.predict(ex)[0]) <= 1.0 + 1e-9
+            comp.update(ex, [0.3])
 
     def test_symmetric_pool_learner_wrap_costs_at_most_mixing_regret(self):
         # wrapping a learner whose pool already contains negations cannot
@@ -409,16 +404,41 @@ class TestSymmetrize:
                                  for j in range(2 * m)])
 
         bare = HedgeLearner(build_pool(), horizon=rounds)
-        comp = symmetrize(HedgeLearner(build_pool(), horizon=rounds), horizon=rounds)
+        comp = symmetrize(lambda: hedge_committee(build_pool(), 1, rounds), horizon=rounds)
         gs = rng.uniform(-1, 1, rounds)
         bare_loss = comp_loss = 0.0
         for t in range(rounds):
             ex = _ex({0: 1.0}, eid=t)
             bare_loss += gs[t] * bare.predict(ex)
-            comp_loss += gs[t] * comp.predict(ex)
+            comp_loss += gs[t] * comp.predict(ex)[0]
             bare.update(ex, float(gs[t]))
-            comp.update(ex, float(gs[t]))
+            comp.update(ex, [float(gs[t])])
         assert comp_loss <= bare_loss + 2.0 * math.sqrt(rounds * math.log(3)) + 1e-9
+
+    @pytest.mark.parametrize("horizon", [None, 300])
+    @pytest.mark.parametrize("make", [ogd_committee, stump_committee])
+    def test_committee_matches_single_stage_committees(self, make, horizon):
+        # the N mixtures share one schedule, but each stage's arms and mixture
+        # must equal a symmetrized committee of that stage alone, bit for bit
+        rng = np.random.default_rng(5)
+        rows = [ex.features for ex in make_additive_stream(300, seed=3).examples]
+        n = 3
+        comp = symmetrize(lambda: make(n, 1.0, 2.0), horizon)
+        singles = [symmetrize(lambda: make(1, 1.0, 2.0), horizon) for _ in range(n)]
+        gs = rng.uniform(-1, 1, size=(len(rows), n))
+        for t, feats in enumerate(rows):
+            ex = _ex(feats)
+            preds = comp.predict(ex)
+            assert preds == [single.predict(ex)[0] for single in singles]
+            comp.update(ex, gs[t])
+            for i, single in enumerate(singles):
+                single.update(ex, gs[t, i:i + 1])
+                np.testing.assert_array_equal(comp.mix[i], single.mix[0])
+
+    def test_twin_must_match_committee_size(self):
+        sizes = iter([2, 3])
+        with pytest.raises(ValueError, match="twin"):
+            symmetrize(lambda: ogd_committee(next(sizes)))
 
 
 class TestGreedyAdapter:
@@ -434,6 +454,23 @@ class TestGreedyAdapter:
         ad = greedy_adapter(GreedyFitLearner(pool), 10000, params, offset_bound=1.0,
                             regret_model="alpha-linear")
         assert ad.alpha == pytest.approx(0.02, abs=1e-12)
+
+    def test_adapter_fixes_the_fitter_itself(self):
+        pool = _const_pool([0.5, -0.5])
+        fitter = GreedyFitLearner(pool)
+        assert fitter.offset_bound == math.inf
+        params = LossClass("squared").ball_params(2.0)
+        assert greedy_adapter(fitter, 100, params, offset_bound=1.0) is fitter
+        assert fitter.offset_bound == 1.0 and fitter.alpha > 0
+
+    def test_adapter_validates_its_arguments(self):
+        pool = _const_pool([0.5, -0.5])
+        params = LossClass("squared").ball_params(2.0)
+        for kw in ({"regret_model": "linear"}, {"horizon": 0},
+                   {"smooth_params": LossClass("linear").ball_params(2.0)}):
+            args = {"horizon": 100, "smooth_params": params, "offset_bound": 1.0, **kw}
+            with pytest.raises(ValueError):
+                greedy_adapter(GreedyFitLearner(pool), **args)
 
     def test_offset_bound_enforced(self):
         pool = _const_pool([0.5, -0.5])
@@ -453,7 +490,7 @@ class TestGreedyAdapter:
         p = ad.predict(ex)
         assert abs(p) <= pool.output_bound
         ad.update(ex, 0.5, lc.make(0.2))  # loss independent of the prediction
-        np.testing.assert_allclose(ad.inner.cum, ad.inner.cum[0])
+        np.testing.assert_allclose(ad.cum, ad.cum[0])
 
     def test_linear_regret_chain_on_planted_stream(self):
         # derived check: the adapter's linear regret obeys the smoothness
@@ -561,7 +598,6 @@ class TestContractAcrossLearners:
         lambda: OnlineGradientLearner(output_bound=0.8),
         lambda: StumpLearner(output_bound=0.8),
         lambda: HedgeLearner(_const_pool([0.8, -0.4]), horizon=300),
-        lambda: symmetrize(OnlineGradientLearner(output_bound=0.8), horizon=300),
     ])
     def test_predictions_bounded_after_updates(self, make):
         rng = np.random.default_rng(31)
@@ -569,3 +605,17 @@ class TestContractAcrossLearners:
         for ex, g in _random_linear_stream(rng, 300):
             assert abs(lrn.predict(ex)) <= lrn.output_bound + 1e-9
             lrn.update(ex, g)
+
+    @pytest.mark.parametrize("make", [
+        lambda: ogd_committee(3, output_bound=0.8),
+        lambda: stump_committee(3, output_bound=0.8),
+        lambda: hedge_committee(_const_pool([0.8, -0.4]), 3, 300),
+        lambda: symmetrize(lambda: ogd_committee(3, output_bound=0.8), horizon=300),
+        lambda: symmetrize(lambda: stump_committee(3, output_bound=0.8)),
+    ])
+    def test_committee_predictions_bounded_after_updates(self, make):
+        rng = np.random.default_rng(31)
+        committee = make()
+        for ex, _ in _random_linear_stream(rng, 300):
+            assert all(abs(p) <= committee.output_bound + 1e-9 for p in committee.predict(ex))
+            committee.update(ex, rng.uniform(-1, 1, 3))
