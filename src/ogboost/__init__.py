@@ -3,10 +3,8 @@
 from .core import Example, clip_unit_interval, project_to_ball, seeded_rng, vdot, vnorm
 from .losses import BallParams, LossClass, LossInstance, bisect_ball_radius, parse_loss_flag
 from .learners import (
-    BaseLearner,
     FunctionPool,
     GreedyFitLearner,
-    HedgeLearner,
     LowerBoundPool,
     OnlineGradientLearner,
     StumpLearner,

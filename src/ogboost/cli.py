@@ -268,16 +268,29 @@ def _write_run_tsv(path: Path, metrics: bench.RunMetrics) -> None:
 # subcommand: batch-compare
 
 
-def _check_counts(args, *names: str) -> None:
-    """Reject each named count flag below 1 as a configuration error."""
-    errs = [f"--{name} must be >= 1, got {getattr(args, name)}"
-            for name in names if getattr(args, name) < 1]
+# flag attribute -> (test of a valid value, what the message says it must be);
+# an ordered comparison is false for NaN, so the ranges reject it too
+_FLAG_RULES = {
+    "stages": (lambda v: v >= 1, "be >= 1"),
+    "seeds": (lambda v: v >= 1, "be >= 1"),
+    "atoms": (lambda v: v >= 3, "be >= 3"),
+    "norm1": (lambda v: 0.0 < v < math.inf, "be finite and > 0"),
+    "magnet_junk": (math.isfinite, "be finite"),
+    "step_size": (lambda v: 0.0 <= v <= 1.0, "lie in [0, 1]"),
+    "scale_c": (lambda v: 0.0 < v <= 1.0, "lie in (0, 1]"),
+}
+
+
+def _check_flags(args, *names: str) -> None:
+    """Reject each named flag outside its ``_FLAG_RULES`` range as a configuration error."""
+    errs = [f"--{name.replace('_', '-')} must {_FLAG_RULES[name][1]}, got {getattr(args, name)}"
+            for name in names if not _FLAG_RULES[name][0](getattr(args, name))]
     if errs:
         raise ConfigError(errs)
 
 
 def execute_batch_compare(args) -> dict:
-    _check_counts(args, "stages")
+    _check_flags(args, "stages", "atoms", "norm1", "magnet_junk", "step_size")
     objective, dictionary, comp_values, norm1 = batch_mod.make_planted_batch_problem(
         n_atoms=args.atoms, norm1=args.norm1, seed=args.seed, magnet_junk=args.magnet_junk)
     schedule = [args.step_size] * args.stages
@@ -333,7 +346,7 @@ def lower_bound_once(stages: int, seed: int, pool_scale: float, rounds: int | No
 
 
 def execute_lower_bound(args) -> dict:
-    _check_counts(args, "stages", "seeds")
+    _check_flags(args, "stages", "seeds", "scale_c")
     results = [lower_bound_once(args.stages, args.seed + i, args.scale_c, args.rounds)
                for i in range(args.seeds)]
     t = results[0]["rounds"]

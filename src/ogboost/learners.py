@@ -9,9 +9,6 @@ was y -> g . y.  Implementations:
   sparse linear regressors.
 * ``StumpLearner`` -- per-feature scalar gradient descent, predicting with
   the best-performing feature present in the current example.
-* ``HedgeLearner`` -- multiplicative weights over a finite function pool,
-  either as a deterministic weighted average or sampling one pool member
-  per round.
 * ``symmetrize`` -- per stage of a committee, a Hedge mixture of the
   stage, its negation-trained twin in a second committee and the zero arm,
   extending the comparator class with negations.
@@ -23,10 +20,13 @@ was y -> g . y.  Implementations:
 A booster runs N copies of one learner that all see the same example, so
 a stage committee is one object with two calls per round: ``predict(x)``
 returns the N stage predictions and ``update(x, feedbacks)`` takes the N
-stage feedbacks, checked once per round.  ``ogd_committee``,
-``stump_committee`` and ``hedge_committee`` keep the N copies' state in
-shared arrays and equal independent copies; a plain list of learners is
-run as a committee by the booster.
+stage feedbacks, checked once per round.  ``ogd_committee`` and
+``stump_committee`` keep the N copies' state in shared arrays and equal
+independent copies bit for bit.  ``hedge_committee`` runs multiplicative
+weights over a finite function pool as an (N x M) weight matrix, on a known
+horizon or the doubling schedule; its weights equal N one-stage committees
+bit for bit and its predictions up to summation order.  A plain list of
+learners is run as a committee by the booster.
 
 Learner instances are single-threaded mutable state; independent boosters
 own disjoint copies.
@@ -65,22 +65,6 @@ def _feedback_vector(fb, n: int) -> np.ndarray:
     if not top <= 1.0 + FEEDBACK_TOL:  # also rejects NaN
         raise ValueError(f"linear feedback norm {top:.6g} exceeds 1")
     return g
-
-
-class BaseLearner:
-    """Contract shared by all base learners."""
-
-    output_bound: float = 1.0
-    deterministic: bool = True
-
-    def __init__(self):
-        self.updates = 0
-
-    def predict(self, x: Example) -> Vector:
-        raise NotImplementedError
-
-    def update(self, x: Example, fb) -> None:
-        raise NotImplementedError
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +181,7 @@ def make_lower_bound_pool(stages: int, seed: int, pool_scale: float = 1.0 / 4000
 # concrete learners
 
 
-class OnlineGradientLearner(BaseLearner):
+class OnlineGradientLearner:
     """Projected online gradient descent over sparse linear regressors.
 
     Weights live in the ball ||w|| <= output_bound; the step size is
@@ -206,8 +190,9 @@ class OnlineGradientLearner(BaseLearner):
     feature vectors have norm at most 1.
     """
 
+    deterministic = True
+
     def __init__(self, output_bound: float = 1.0, lr_scale: float = 1.0):
-        super().__init__()
         self.output_bound = output_bound
         self.lr_scale = lr_scale
         self.w: dict[int, float] = {}
@@ -231,7 +216,6 @@ class OnlineGradientLearner(BaseLearner):
 
     def update(self, x: Example, fb) -> None:
         g = _check_feedback(fb)
-        self.updates += 1
         self._t += 1
         xnorm2 = 0.0
         for v in x.features.values():
@@ -259,7 +243,7 @@ class OnlineGradientLearner(BaseLearner):
         self._norm2 = norm2
 
 
-class StumpLearner(BaseLearner):
+class StumpLearner:
     """Regression stumps: scalar gradient descent on each feature.
 
     Prediction uses the present feature with the lowest cumulative linear
@@ -273,9 +257,9 @@ class StumpLearner(BaseLearner):
     """
 
     _W, _CUM, _T, _G = 0, 1, 2, 3
+    deterministic = True
 
     def __init__(self, output_bound: float = 1.0, lr_scale: float = 1.0):
-        super().__init__()
         self.output_bound = output_bound
         self.lr_scale = lr_scale
         self._state: dict[int, list] = {}
@@ -328,7 +312,6 @@ class StumpLearner(BaseLearner):
 
     def update(self, x: Example, fb) -> None:
         g = _check_feedback(fb)
-        self.updates += 1
         D = self.output_bound
         step_scale = self.lr_scale * D
         state = self._state
@@ -581,67 +564,23 @@ class _HedgeSchedule:
         return True
 
 
-class HedgeLearner(BaseLearner):
-    """Multiplicative weights over a finite function pool.
-
-    mode="average" (default) emits the deterministic weighted average of
-    the pool values; mode="sample" draws one pool member per round, which
-    is the behavior the adversarial lower-bound stream is built against.
-    Weights are updated after the round's loss is observed, multiplying
-    member j by exp(-rate * g . f_j(x)) and renormalizing.  With a known
-    horizon the rate is sqrt(8 ln M / T); otherwise the doubling schedule of
-    ``_HedgeSchedule`` restarts the weights at the end of each epoch.
-    """
-
-    def __init__(self, pool: FunctionPool, horizon: int | None = None,
-                 mode: str = "average", seed: int = 0):
-        super().__init__()
-        if mode not in ("average", "sample"):
-            raise ValueError(f"unknown hedge mode {mode!r}")
-        self.pool = pool
-        self.output_bound = pool.output_bound
-        self.mode = mode
-        self.deterministic = mode == "average"
-        self._rng = seeded_rng(seed, "hedge") if mode == "sample" else None
-        m = len(pool)
-        self.weights = np.full(m, 1.0 / m)
-        self.schedule = _HedgeSchedule(m, horizon)
-
-    def predict(self, x: Example) -> float:
-        vals = self.pool.values(x)
-        if self.mode == "average":
-            return float(self.weights @ vals)
-        cdf = np.cumsum(self.weights)
-        j = int(np.searchsorted(cdf, self._rng.random() * cdf[-1], side="right"))
-        if j >= len(vals):
-            j = len(vals) - 1
-        return float(vals[j])
-
-    def update(self, x: Example, fb) -> None:
-        g = _check_feedback(fb)
-        self.updates += 1
-        vals = self.pool.values(x)
-        w = self.weights
-        w *= np.exp((-self.schedule.rate * g) * vals)
-        total = w.sum()
-        # step first: every update counts toward the epoch
-        if self.schedule.step() or total <= 0 or not np.isfinite(total):
-            w[:] = 1.0 / len(w)
-        else:
-            w /= total
-
-
 class HedgeCommittee:
-    """N ``HedgeLearner`` copies over one pool, run as one learner.
+    """N multiplicative-weights learners over one finite function pool.
 
-    All copies see the same pool values each round, so their weights are
-    the rows of one (N x M) matrix.  ``predict`` returns the N stage
-    predictions and ``update`` takes the N stage feedbacks, each a single
-    vectorized pass.  The rate is fixed by a known horizon.
+    All N stages see the same pool values each round, so their weights are
+    the rows of one (N x M) matrix.  mode="average" (default) predicts each
+    row's weighted average of the pool values; mode="sample" draws one pool
+    member per row, which is the behavior the adversarial lower-bound stream
+    is built against.  After the round's loss is observed, member j of row i
+    is multiplied by exp(-rate * g_i f_j(x) / D), with the values normalized
+    to [-1, 1] by the output bound D, and the row renormalized.  With a known
+    horizon T the rate is sqrt(8 ln M / T); without one, the doubling
+    schedule of ``_HedgeSchedule`` restarts every row at the end of each
+    epoch.
     """
 
-    def __init__(self, pool: FunctionPool, n: int, horizon: int, mode: str = "average",
-                 seed: int = 0):
+    def __init__(self, pool: FunctionPool, n: int, horizon: int | None = None,
+                 mode: str = "average", seed: int = 0):
         if mode not in ("average", "sample"):
             raise ValueError(f"unknown hedge mode {mode!r}")
         if n < 1:
@@ -650,7 +589,7 @@ class HedgeCommittee:
         self.mode = mode
         self.deterministic = mode == "average"
         self.output_bound = pool.output_bound
-        self.rate = _hedge_rate(len(pool), horizon)
+        self.schedule = _HedgeSchedule(len(pool), horizon)
         self.weights = np.full((n, len(pool)), 1.0 / len(pool))
         self._rng = seeded_rng(seed, "hedgebank") if mode == "sample" else None
 
@@ -670,19 +609,22 @@ class HedgeCommittee:
     def update(self, x: Example, fb) -> None:
         g = _feedback_vector(fb, len(self.weights))
         w = self.weights
-        # the product np.outer forms, exponentiated in place
-        e = (-self.rate * g)[:, None] * self.pool.values(x)
+        # the product np.outer forms, exponentiated in place; with |g| <= 1 and
+        # pool values within D each exponent is at most the rate in size, so
+        # every row keeps a positive finite total
+        e = (-(self.schedule.rate / self.output_bound) * g)[:, None] * self.pool.values(x)
         w *= np.exp(e, out=e)
-        w /= w.sum(axis=1, keepdims=True)
+        if self.schedule.step():
+            w[:] = 1.0 / w.shape[1]
+        else:
+            w /= w.sum(axis=1, keepdims=True)
 
 
-def hedge_committee(pool: FunctionPool, n: int, horizon: int, mode: str = "average",
-                    seed: int = 0) -> HedgeCommittee:
-    """Build a committee of n hedge copies over one pool.
+def hedge_committee(pool: FunctionPool, n: int, horizon: int | None = None,
+                    mode: str = "average", seed: int = 0) -> HedgeCommittee:
+    """Build a committee of n Hedge stages over one pool.
 
-    Functionally equivalent to n independent ``HedgeLearner`` copies with
-    a known horizon, but the per-round weight work is vectorized across
-    copies.  Use for booster stage committees on long streams.
+    Without a horizon the stages run the doubling schedule.
     """
     return HedgeCommittee(pool, n, horizon, mode, seed)
 
@@ -775,7 +717,6 @@ class GreedyFitLearner:
         self.alpha = alpha
         self.output_bound = pool.output_bound
         self.cum = np.zeros(len(pool))
-        self.updates = 0
 
     def predict(self, x: Example) -> float:
         vals = self.pool.values(x)
@@ -785,7 +726,6 @@ class GreedyFitLearner:
         if vnorm(offset) > self.offset_bound + FEEDBACK_TOL:
             raise ValueError(f"offset norm {vnorm(offset):.6g} exceeds declared bound "
                              f"{self.offset_bound}")
-        self.updates += 1
         vals = self.pool.values(x)
         a = self.alpha
         self.cum += np.array([loss.evaluate(offset + a * v) for v in vals])

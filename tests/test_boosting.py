@@ -10,7 +10,6 @@ from ogboost.losses import LossClass
 from ogboost.learners import (
     FunctionPool,
     GreedyFitLearner,
-    HedgeLearner,
     OnlineGradientLearner,
     StumpLearner,
     greedy_adapter,
@@ -27,6 +26,8 @@ from ogboost.bench import (
     progressive_validate,
 )
 
+from committee_helpers import OneStage
+
 
 class ConstLearner:
     """Fixed-output learner for recurrence unit tests."""
@@ -36,14 +37,12 @@ class ConstLearner:
     def __init__(self, value, output_bound=10.0):
         self.value = value
         self.output_bound = output_bound
-        self.updates = 0
         self.feedbacks = []
 
     def predict(self, x):
         return self.value
 
     def update(self, x, fb):
-        self.updates += 1
         self.feedbacks.append(fb)
 
 
@@ -232,9 +231,9 @@ class TestDeterministicMode:
 
     def test_requires_deterministic_learners(self):
         pool = FunctionPool([lambda x: 0.5])
-        sampler = HedgeLearner(pool, horizon=10, mode="sample", seed=0)
+        sampler = hedge_committee(pool, 1, 10, mode="sample", seed=0)
         with pytest.raises(ValueError):
-            SpanBooster(SQ, [sampler], eta=1.0, deterministic_mode=True)
+            SpanBooster(SQ, sampler, eta=1.0, deterministic_mode=True)
 
     def test_projection_vacuous_on_reachable_states(self):
         # 2000 rounds with OGD stages: partial sums never hit the ball wall
@@ -313,14 +312,14 @@ class TestScaleWrap:
         vals = rng.uniform(-1, 1, size=(rounds, m))
         rows = {t: vals[t] for t in range(rounds)}
         pool = FunctionPool([(lambda x, _j=j: float(rows[x.eid][_j])) for j in range(m)])
-        wrapped = scale_wrap(HedgeLearner(pool, horizon=rounds), lam)
+        wrapped = scale_wrap(hedge_committee(pool, 1, rounds), lam)
         gs = rng.uniform(-1, 1, rounds)
         cum = 0.0
         member = np.zeros(m)
         for t in range(rounds):
             ex = Example({0: 1.0}, None, eid=t)
-            cum += gs[t] * wrapped.predict(ex)
-            wrapped.update(ex, float(gs[t]))
+            cum += gs[t] * wrapped.predict(ex)[0]
+            wrapped.update(ex, [gs[t]])
             member += gs[t] * vals[t]
         hedge_bound = 2.0 * math.sqrt(rounds * math.log(m))
         assert cum <= lam * float(member.min()) + lam * hedge_bound
@@ -334,7 +333,6 @@ class TestGreedyOffsets:
             deterministic = True
             greedy_offsets = True
             output_bound = 1.0
-            updates = 0
 
             def predict(self, x):
                 return 0.5
@@ -357,13 +355,20 @@ class TestGreedyOffsets:
             booster(SQ, [greedy, OnlineGradientLearner()])
 
     def test_adapter_inside_hull_booster(self):
+        class CountingFitter(GreedyFitLearner):
+            updates = 0
+
+            def update(self, x, offset, loss):
+                super().update(x, offset, loss)
+                self.updates += 1
+
         rng = np.random.default_rng(15)
         rounds, m = 300, 4
         vals = rng.uniform(-1, 1, size=(rounds, m))
         rows = {t: vals[t] for t in range(rounds)}
         pool = FunctionPool([(lambda x, _j=j: float(rows[x.eid][_j])) for j in range(m)])
         params = SQ.ball_params(2.0)
-        ads = [greedy_adapter(GreedyFitLearner(pool), rounds, params, offset_bound=1.0)
+        ads = [greedy_adapter(CountingFitter(pool), rounds, params, offset_bound=1.0)
                for _ in range(3)]
         b = HullBooster(SQ, ads)
         for t in range(rounds):
@@ -380,7 +385,6 @@ class TestVectorPredictions:
     class RotatingArm:
         deterministic = True
         output_bound = 1.0
-        updates = 0
 
         def __init__(self, phase):
             self.phase = phase
@@ -390,7 +394,6 @@ class TestVectorPredictions:
             return np.array([math.cos(a), math.sin(a)]) * 0.8
 
         def update(self, x, fb):
-            self.updates += 1
             assert isinstance(fb, np.ndarray)
 
     def _vector_stream(self, rounds):
@@ -442,6 +445,19 @@ class TestDeterminism:
             losses.append(m.test_losses.tobytes())
         assert losses[0] == losses[1]
 
+    def test_sample_mode_committee_deterministic_per_seed(self):
+        pool = make_region_pool(4)
+        stream, _ = planted_span_stream(pool, [0.4, -0.4, 0.4, -0.4], 0.02, 300, seed=6)
+        sym = pool.symmetrized()
+
+        def run(seed):
+            stage = hedge_committee(sym, 5, len(stream), mode="sample", seed=seed)
+            return progressive_validate(stream, HullBooster(SQ, stage)).test_losses
+
+        first = run(3)
+        assert np.array_equal(first, run(3))
+        assert not np.array_equal(first, run(4))
+
 
 class TestCommitteeMatchesCopies:
     """A stage committee is one learner; it must equal independent copies,
@@ -477,7 +493,7 @@ class TestCommitteeMatchesCopies:
         n = 4
         committee = progressive_validate(stream, HullBooster(SQ, hedge_committee(sym, n, 300)))
         copies = progressive_validate(
-            stream, HullBooster(SQ, [HedgeLearner(sym, horizon=300) for _ in range(n)]))
+            stream, HullBooster(SQ, [OneStage(hedge_committee(sym, 1, 300)) for _ in range(n)]))
         np.testing.assert_allclose(committee.test_losses, copies.test_losses,
                                    rtol=0, atol=1e-12)
         # the committee learns: later losses differ from a frozen first round

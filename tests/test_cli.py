@@ -11,7 +11,10 @@ from ogboost.cli import (
     EXIT_BOUNDS,
     EXIT_CONFIG,
     RunConfig,
+    _FLAG_RULES,
+    _check_flags,
     build_parser,
+    lower_bound_once,
     main,
 )
 
@@ -68,6 +71,29 @@ class TestValidation:
         assert code == EXIT_CONFIG
         assert f"config error: {argv[0]} " in err
         assert not list(tmp_path.iterdir())  # rejected before any run
+
+    @pytest.mark.parametrize("argv", [
+        ["batch-compare", "--magnet-junk", "nan"], ["batch-compare", "--magnet-junk", "inf"],
+        ["batch-compare", "--norm1", "-1"], ["batch-compare", "--norm1", "nan"],
+        ["batch-compare", "--norm1", "inf"], ["batch-compare", "--step-size", "nan"],
+        ["batch-compare", "--step-size", "1.5"], ["batch-compare", "--step-size", "-0.1"],
+        ["batch-compare", "--atoms", "0"], ["batch-compare", "--atoms", "2"],
+        ["lower-bound", "--scale-c", "0"], ["lower-bound", "--scale-c", "nan"],
+        ["lower-bound", "--scale-c", "1.5"], ["lower-bound", "--scale-c", "inf"]])
+    def test_bad_subcommand_flag_exits_config_naming_it(self, capsys, tmp_path, argv):
+        code, out, err = _run([*argv, "--out-dir", str(tmp_path)], capsys)
+        assert code == EXIT_CONFIG
+        assert f"config error: {argv[1]} " in err
+        assert not list(tmp_path.iterdir())  # rejected before any run
+
+    @pytest.mark.parametrize("argv", [
+        ["batch-compare", "--atoms", "3", "--step-size", "0", "--norm1", "1e-9",
+         "--magnet-junk", "-5"],
+        ["batch-compare", "--step-size", "1"], ["lower-bound", "--scale-c", "1"]])
+    def test_subcommand_flags_accepted_at_range_edges(self, argv):
+        args = build_parser().parse_args(argv)
+        names = [k for k in vars(args) if k in _FLAG_RULES]
+        _check_flags(args, *names)  # raises on any rejected flag
 
     def test_grid_child_lr_checked(self, capsys, tmp_path):
         code, out, err = _run(["grid", "--grid-lr", "0.5,nan", "--rounds", "300",
@@ -288,6 +314,10 @@ class TestLowerBound:
         code, out, err = _run(["lower-bound", flag, "0", "--out-dir", str(tmp_path)], capsys)
         assert code == EXIT_CONFIG
         assert flag in err
+
+    def test_run_deterministic_per_seed(self):
+        # sample-mode Hedge draws from a generator seeded by the run's seed
+        assert lower_bound_once(2, 5, 1 / 50, None) == lower_bound_once(2, 5, 1 / 50, None)
 
     def test_reference_lines_emitted(self, capsys, tmp_path):
         code, out, err = _run([

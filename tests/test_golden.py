@@ -2,16 +2,22 @@
 
 Each config runs progressive validation for T=400 rounds of one planted-hull
 stream and stores the sha256 of its ``test_losses`` bytes.  The configs cover
-both boosters over every stage kind: a list of OGD learners, the OGD, stump
-and Hedge committees, a list of ``HedgeLearner`` copies and a symmetrized OGD
-committee (both on the doubling schedule, ``horizon=None``), a symmetrized
-stump committee on the doubling schedule, a symmetrized OGD committee with the
-known horizon T (as the CLI builds it), a stump committee scaled by 2 and
-greedy fitters.  Each also runs on the same examples without ids, the
-``Example`` default, where pool memos cannot key on an id.
+both boosters over every stage kind in ``KINDS``: a list of OGD learners,
+the OGD, stump and Hedge committees, Hedge on the doubling schedule
+(``horizon=None``) as a list of one-stage committees and as one N-stage
+committee, a symmetrized OGD committee and a symmetrized stump committee on
+the doubling schedule, a symmetrized OGD committee with the known horizon T
+(as the CLI builds it), a stump committee scaled by 2 and greedy fitters.
+Each also runs on the same examples without ids, the ``Example`` default,
+where pool memos cannot key on an id.
 
 The symmetrized digests were recorded from lists of per-learner wrappers,
-which the committees replaced; they must equal those lists bit for bit.
+which the committees replaced; they must equal those lists bit for bit.  The
+``hedge-doubling`` digests were recorded from lists of a per-copy Hedge
+learner, which one-stage committees replaced, also bit for bit.  The N-stage
+doubling committee sums each prediction over its weight matrix in another
+order, so its digests are its own and its losses must lie within 1e-12 of
+the one-stage committees'.
 
 These keys read ``algo/kind/ids`` and use squared loss.  Keys with a fourth
 part ``algo/kind/ids/family`` run the OGD committee or the greedy stages on
@@ -35,7 +41,6 @@ from ogboost.boosting import HullBooster, SpanBooster, auto_eta, scale_wrap
 from ogboost.core import Example
 from ogboost.learners import (
     GreedyFitLearner,
-    HedgeLearner,
     OnlineGradientLearner,
     greedy_adapter,
     hedge_committee,
@@ -44,6 +49,8 @@ from ogboost.learners import (
     symmetrize,
 )
 from ogboost.losses import LossClass, parse_loss_flag
+
+from committee_helpers import OneStage
 
 ROUNDS = 400
 STAGES = 5
@@ -59,34 +66,32 @@ def _stream(with_ids: bool, loss_class: LossClass) -> tuple[Stream, object]:
     return Stream(examples, loss_class), pool
 
 
-def _stages(kind: str, algo: str, pool, lc: LossClass):
-    """(stage learners or committee, booster output bound)"""
+def _greedy(sym, algo: str, lc: LossClass):
     n = STAGES
-    sym = pool.symmetrized()
-    if kind == "ogd":
-        return [OnlineGradientLearner() for _ in range(n)], 1.0
-    if kind == "ogd-committee":
-        return ogd_committee(n), 1.0
-    if kind == "stump-committee":
-        return stump_committee(n), 1.0
-    if kind == "hedge-committee":
-        return hedge_committee(sym, n, ROUNDS), 1.0
-    if kind == "hedge-doubling":
-        return [HedgeLearner(sym) for _ in range(n)], 1.0
-    if kind == "symmetrize-doubling":
-        return symmetrize(lambda: ogd_committee(n)), 1.0
-    if kind == "symmetrize-stump-doubling":
-        return symmetrize(lambda: stump_committee(n)), 1.0
-    if kind == "symmetrize-ogd-horizon":
-        return symmetrize(lambda: ogd_committee(n), ROUNDS), 1.0
-    if kind == "scale":
-        return scale_wrap(stump_committee(n), 2.0), 2.0
-    assert kind == "greedy"
     offset_bound = lc.solve_ball_radius(auto_eta(n), n, 1.0) if algo == "span" else 1.0
     params = lc.ball_params(offset_bound + 1.0)
     ads = [greedy_adapter(GreedyFitLearner(sym), ROUNDS, params, offset_bound=offset_bound)
            for _ in range(n)]
     return ads, 1.0
+
+
+# kind -> (symmetrized pool, algo, loss class) -> (stage learners or committee,
+# booster output bound)
+KINDS = {
+    "ogd": lambda *_: ([OnlineGradientLearner() for _ in range(STAGES)], 1.0),
+    "ogd-committee": lambda *_: (ogd_committee(STAGES), 1.0),
+    "stump-committee": lambda *_: (stump_committee(STAGES), 1.0),
+    "hedge-committee": lambda sym, *_: (hedge_committee(sym, STAGES, ROUNDS), 1.0),
+    "hedge-doubling": lambda sym, *_: ([OneStage(hedge_committee(sym, 1))
+                                        for _ in range(STAGES)], 1.0),
+    "hedge-committee-doubling": lambda sym, *_: (hedge_committee(sym, STAGES), 1.0),
+    "symmetrize-doubling": lambda *_: (symmetrize(lambda: ogd_committee(STAGES)), 1.0),
+    "symmetrize-stump-doubling": lambda *_: (symmetrize(lambda: stump_committee(STAGES)), 1.0),
+    "symmetrize-ogd-horizon": lambda *_: (symmetrize(lambda: ogd_committee(STAGES), ROUNDS),
+                                          1.0),
+    "scale": lambda *_: (scale_wrap(stump_committee(STAGES), 2.0), 2.0),
+    "greedy": _greedy,
+}
 
 
 def _booster(algo: str, lc: LossClass, stages, output_bound: float):
@@ -95,14 +100,18 @@ def _booster(algo: str, lc: LossClass, stages, output_bound: float):
     return HullBooster(lc, stages, output_bound)
 
 
-def trace_digest(algo: str, kind: str, with_ids: bool, family: str = "squared") -> str:
+def trace_losses(algo: str, kind: str, with_ids: bool, family: str = "squared") -> np.ndarray:
     lc = parse_loss_flag(family)
     stream, pool = _stream(with_ids, lc)
-    booster = _booster(algo, lc, *_stages(kind, algo, pool, lc))
+    booster = _booster(algo, lc, *KINDS[kind](pool.symmetrized(), algo, lc))
     losses = progressive_validate(stream, booster).test_losses
     assert losses.dtype == np.float64 and losses.shape == (ROUNDS,)
     assert np.isfinite(losses).all()
-    return hashlib.sha256(losses.tobytes()).hexdigest()
+    return losses
+
+
+def trace_digest(algo: str, kind: str, with_ids: bool, family: str = "squared") -> str:
+    return hashlib.sha256(trace_losses(algo, kind, with_ids, family).tobytes()).hexdigest()
 
 
 GOLDEN = {
@@ -174,6 +183,10 @@ GOLDEN = {
     "ch/greedy/no-ids/mls": "85ebc9280c490a890d1f90f83d1b6927e5ad6d889a1c98aab76342961078834a",
     "ch/greedy/ids/logistic": "a69f42622b477157894dbb9a0a158a6b768ec96a0c49f323e7bc12979bc05060",
     "ch/greedy/no-ids/logistic": "a69f42622b477157894dbb9a0a158a6b768ec96a0c49f323e7bc12979bc05060",
+    "span/hedge-committee-doubling/ids": "3a4cb88cbd888c0a8a56a8f8e69b9fd7ad2b25386013696ac924cdb6eb92ed72",
+    "span/hedge-committee-doubling/no-ids": "3a4cb88cbd888c0a8a56a8f8e69b9fd7ad2b25386013696ac924cdb6eb92ed72",
+    "ch/hedge-committee-doubling/ids": "dfc35da740258107843a2bae80b96c55cd77fb2dce1fc2aad896a8f79faace76",
+    "ch/hedge-committee-doubling/no-ids": "dfc35da740258107843a2bae80b96c55cd77fb2dce1fc2aad896a8f79faace76",
 }
 
 
@@ -181,3 +194,20 @@ GOLDEN = {
 def test_golden_trace(key):
     algo, kind, ids, *family = key.split("/")
     assert trace_digest(algo, kind, ids == "ids", *family) == GOLDEN[key]
+
+
+def test_every_kind_has_digests():
+    missing = [f"{algo}/{kind}/{ids}" for kind in KINDS for algo in ("span", "ch")
+               for ids in ("ids", "no-ids") if f"{algo}/{kind}/{ids}" not in GOLDEN]
+    assert missing == []
+    assert {key.split("/")[1] for key in GOLDEN} == set(KINDS)
+
+
+@pytest.mark.parametrize("with_ids", [True, False])
+@pytest.mark.parametrize("algo", ["span", "ch"])
+def test_hedge_committee_matches_one_stage_committees(algo, with_ids):
+    # N rows of one weight matrix sum each prediction in another order than
+    # N one-row committees, so their losses agree up to rounding only
+    rows = trace_losses(algo, "hedge-committee-doubling", with_ids)
+    singles = trace_losses(algo, "hedge-doubling", with_ids)
+    np.testing.assert_allclose(rows, singles, rtol=0, atol=1e-12)

@@ -11,7 +11,6 @@ from ogboost.losses import LossClass
 from ogboost.learners import (
     FunctionPool,
     GreedyFitLearner,
-    HedgeLearner,
     OnlineGradientLearner,
     StumpLearner,
     _hedge_rate,
@@ -23,6 +22,8 @@ from ogboost.learners import (
     symmetrize,
 )
 from ogboost.bench import make_additive_stream
+
+from committee_helpers import OneStage
 
 
 def _ex(features, label=None, eid=-1):
@@ -219,18 +220,23 @@ def _const_pool(values):
                         output_bound=max(abs(v) for v in values) or 1.0)
 
 
+def _hedge(pool, horizon=None, **kw):
+    """A one-stage Hedge committee driven as a single learner."""
+    return OneStage(hedge_committee(pool, 1, horizon, **kw))
+
+
 class TestHedgeLearner:
     def test_symmetric_pool_uniform_weights_average_zero(self):
         pool = _const_pool([0.6, -0.6])
-        lrn = HedgeLearner(pool, horizon=100)
+        lrn = _hedge(pool, horizon=100)
         assert lrn.predict(_ex({0: 1.0})) == pytest.approx(0.0, abs=1e-15)
 
     def test_equal_feedback_keeps_weights_uniform(self):
         pool = _const_pool([0.5, 0.5])
-        lrn = HedgeLearner(pool, horizon=100)
+        lrn = _hedge(pool, horizon=100)
         for t in range(10):
             lrn.update(_ex({0: 1.0}, eid=t), 0.7)
-        np.testing.assert_allclose(lrn.weights, 0.5, atol=1e-15)
+        np.testing.assert_allclose(lrn.committee.weights, 0.5, atol=1e-15)
 
     def test_no_regret_vs_brute_force_min_arm(self):
         # oracle: enumerate every arm's cumulative linear loss directly
@@ -240,7 +246,7 @@ class TestHedgeLearner:
         pool_rows = {t: member_vals[t] for t in range(rounds)}
         pool = FunctionPool([(lambda x, _j=j: float(pool_rows[x.eid][_j]))
                              for j in range(m)])
-        lrn = HedgeLearner(pool, horizon=rounds)
+        lrn = _hedge(pool, horizon=rounds)
         gs = rng.uniform(-1, 1, rounds)
         mix_loss = 0.0
         arm_loss = np.zeros(m)
@@ -254,25 +260,28 @@ class TestHedgeLearner:
     def test_doubling_mode_runs_without_horizon(self):
         pool = _const_pool([0.3, -0.3])
         m = len(pool)
-        lrn = HedgeLearner(pool)
-        assert lrn.schedule.rate == _hedge_rate(m, 16)
+        lrn = _hedge(pool)
+        weights, schedule = lrn.committee.weights, lrn.committee.schedule
+        assert schedule.rate == _hedge_rate(m, 16)
         restarts = {16: 32, 48: 64}  # update count -> length of the epoch it starts
         for t in range(1, 101):
             lrn.update(_ex({0: 1.0}, eid=t), 0.5)
             if t in restarts:
-                np.testing.assert_array_equal(lrn.weights, 1.0 / m)
-                assert lrn.schedule.rate == _hedge_rate(m, restarts[t])
+                np.testing.assert_array_equal(weights, 1.0 / m)
+                assert schedule.rate == _hedge_rate(m, restarts[t])
             else:
-                assert lrn.weights[0] < lrn.weights[1]
-        assert lrn.updates == 100
+                assert weights[0, 0] < weights[0, 1]
+        assert (schedule.epoch, schedule.t) == (64, 100 - 48)  # every update counted
 
     def test_sample_mode_emits_pool_values(self):
         pool = _const_pool([0.25, -0.75])
-        lrn = HedgeLearner(pool, horizon=50, mode="sample", seed=3)
+        lrn = _hedge(pool, horizon=50, mode="sample", seed=3)
         vals = {lrn.predict(_ex({0: 1.0}, eid=t)) for t in range(50)}
         assert vals <= {0.25, -0.75}
 
     def test_committee_matches_independent_copies(self):
+        # an N-row committee against N committees of one: the weights are the
+        # same arithmetic row by row; a prediction sums its row in another order
         rng = np.random.default_rng(10)
         rounds, m, n = 300, 5, 3
         vals = rng.uniform(-1, 1, size=(rounds, m))
@@ -281,19 +290,40 @@ class TestHedgeLearner:
         def build_pool():
             return FunctionPool([(lambda x, _j=j: float(rows[x.eid][_j])) for j in range(m)])
 
-        singles = [HedgeLearner(build_pool(), horizon=rounds) for _ in range(n)]
-        committee = hedge_committee(build_pool(), n, horizon=rounds)
+        for horizon in (None, rounds):
+            singles = [hedge_committee(build_pool(), 1, horizon) for _ in range(n)]
+            committee = hedge_committee(build_pool(), n, horizon)
+            gs = rng.uniform(-1, 1, size=(rounds, n))
+            for t in range(rounds):
+                ex = _ex({0: 1.0}, eid=t)
+                preds = committee.predict(ex)
+                for i in range(n):
+                    assert singles[i].predict(ex)[0] == pytest.approx(preds[i], abs=1e-12)
+                    singles[i].update(ex, gs[t, i:i + 1])
+                committee.update(ex, gs[t])
+                for i in range(n):
+                    np.testing.assert_array_equal(committee.weights[i], singles[i].weights[0])
+
+    @pytest.mark.parametrize("horizon", [None, 300])
+    def test_values_normalized_by_output_bound(self, horizon):
+        # scaling every pool value and the output bound by 3000 scales the
+        # predictions only: the weights follow the unit pool's
+        rng = np.random.default_rng(12)
+        rounds, m, n, scale = 300, 6, 3, 3000.0
+        vals = rng.uniform(-1, 1, size=(rounds, m))
+
+        def build_pool(c):
+            return FunctionPool([(lambda x, _j=j: c * float(vals[x.eid, _j])) for j in range(m)],
+                                output_bound=c)
+
+        unit = hedge_committee(build_pool(1.0), n, horizon)
+        scaled = hedge_committee(build_pool(scale), n, horizon)
         gs = rng.uniform(-1, 1, size=(rounds, n))
         for t in range(rounds):
             ex = _ex({0: 1.0}, eid=t)
-            preds = committee.predict(ex)
-            for i in range(n):
-                a = singles[i].predict(ex)
-                b = preds[i]
-                assert a == pytest.approx(b, abs=1e-12)
-            for i in range(n):
-                singles[i].update(ex, float(gs[t, i]))
-            committee.update(ex, gs[t])
+            unit.update(ex, gs[t])
+            scaled.update(ex, gs[t])
+            np.testing.assert_allclose(scaled.weights, unit.weights, rtol=0, atol=1e-12)
 
     def test_committee_round_evaluates_pool_once_without_ids(self):
         calls = []
@@ -403,7 +433,7 @@ class TestSymmetrize:
             return FunctionPool([(lambda x, _j=j: float(rows[x.eid][_j]))
                                  for j in range(2 * m)])
 
-        bare = HedgeLearner(build_pool(), horizon=rounds)
+        bare = _hedge(build_pool(), horizon=rounds)
         comp = symmetrize(lambda: hedge_committee(build_pool(), 1, rounds), horizon=rounds)
         gs = rng.uniform(-1, 1, rounds)
         bare_loss = comp_loss = 0.0
@@ -597,7 +627,6 @@ class TestContractAcrossLearners:
     @pytest.mark.parametrize("make", [
         lambda: OnlineGradientLearner(output_bound=0.8),
         lambda: StumpLearner(output_bound=0.8),
-        lambda: HedgeLearner(_const_pool([0.8, -0.4]), horizon=300),
     ])
     def test_predictions_bounded_after_updates(self, make):
         rng = np.random.default_rng(31)
@@ -612,6 +641,8 @@ class TestContractAcrossLearners:
         lambda: hedge_committee(_const_pool([0.8, -0.4]), 3, 300),
         lambda: symmetrize(lambda: ogd_committee(3, output_bound=0.8), horizon=300),
         lambda: symmetrize(lambda: stump_committee(3, output_bound=0.8)),
+        lambda: hedge_committee(_const_pool([0.8, -0.4]), 3),
+        lambda: hedge_committee(_const_pool([0.8, -0.4]), 3, 300, mode="sample", seed=4),
     ])
     def test_committee_predictions_bounded_after_updates(self, make):
         rng = np.random.default_rng(31)
