@@ -50,12 +50,14 @@ class StreamFormatError(ValueError):
 class ExampleColumns:
     """A stream's examples stored as CSR columns; each ``Example`` is built when read.
 
-    Row i holds the int64 feature ids ``ids[indptr[i]:indptr[i + 1]]`` and
-    their float64 ``values`` in the order of the example's feature dict, and
-    the float64 label ``labels[i]``.  An example's eid is its row position,
-    counted from ``first_eid``.  Indexing and iteration build one ``Example``
-    per row read.  Iteration converts no rows ahead, so no round pays for
-    converting many rows at once, and it keeps each example until the row
+    Row i holds the distinct int64 feature ids ``ids[indptr[i]:indptr[i + 1]]``
+    and their float64 ``values`` in the order of the example's feature dict,
+    and the float64 label ``labels[i]``.  An example's eid is its row
+    position, counted from ``first_eid``.  Indexing and iteration build one
+    ``Example`` per row read, on read-only views of the row's ids and values
+    (``Example.from_arrays``); its feature dict is built only if something
+    reads ``features``.  Iteration builds no rows ahead, so no round pays for
+    building many rows at once, and it keeps each example until the row
     after next is read, so a learner's memo of it is not the last reference
     that the next round's ``predict`` drops.  A slice is a view on the same
     columns in which every row keeps its eid.  The columns are read-only.
@@ -84,16 +86,16 @@ class ExampleColumns:
             return ExampleColumns(self.indptr[lo:hi + 1], self.ids, self.values,
                                   self.labels[lo:hi], self.first_eid + lo)
         a, b = self.indptr[i], self.indptr[i + 1]
-        return Example(dict(zip(self.ids[a:b].tolist(), self.values[a:b].tolist())),
-                       float(self.labels[i]), eid=self.first_eid + i)
+        return Example.from_arrays(self.ids[a:b], self.values[a:b], float(self.labels[i]),
+                                   self.first_eid + i)
 
     def __iter__(self):
         # memoryviews read single pointers and labels as Python ints and floats
         indptr, labels = memoryview(self.indptr), memoryview(self.labels)
-        ids, values, eid = self.ids, self.values, self.first_eid
+        ids, values, eid, row = self.ids, self.values, self.first_eid, Example.from_arrays
         for i in range(len(labels)):
             a, b = indptr[i], indptr[i + 1]
-            ex = Example(dict(zip(ids[a:b].tolist(), values[a:b].tolist())), labels[i], eid + i)
+            ex = row(ids[a:b], values[a:b], labels[i], eid + i)
             yield ex
             kept = ex  # noqa: F841  the example before it is freed here, between rounds
 
@@ -533,8 +535,19 @@ def make_lower_bound_stream(stages: int, rounds: int | None, seed: int,
 
 
 def uniform_pool_comparator(stream: Stream, pool: LowerBoundPool) -> ComparatorSpec:
-    """The uniform average of all pool members, evaluated along the stream."""
-    values = np.array([pool.mean_value(ex) for ex in stream.examples])
+    """The uniform average of all pool members, evaluated along the stream.
+
+    Reads the row means the pool recorded by example id, and draws only the
+    rows that were never drawn.
+    """
+    examples = stream.examples
+    if isinstance(examples, ExampleColumns):
+        eids = np.arange(len(examples)) + examples.first_eid
+    else:
+        eids = np.array([ex.eid for ex in examples], dtype=np.int64)
+    values = pool.recorded_means(eids)
+    for i in np.flatnonzero(np.isnan(values)).tolist():
+        values[i] = pool.mean_value(examples[i])
     return ComparatorSpec("uniform_pool_mean", values, None, 1.0)
 
 

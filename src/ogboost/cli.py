@@ -347,6 +347,10 @@ def lower_bound_once(stages: int, seed: int, pool_scale: float, rounds: int | No
 
 def execute_lower_bound(args) -> dict:
     _check_flags(args, "stages", "seeds", "scale_c")
+    m = int(round(args.stages / args.scale_c))  # the pool size make_lower_bound_pool builds
+    if args.rounds is not None and args.rounds < 12 * m:
+        raise ConfigError([f"--rounds must be >= 12*M = {12 * m} for pool size M = {m}, "
+                           f"got {args.rounds}"])
     results = [lower_bound_once(args.stages, args.seed + i, args.scale_c, args.rounds)
                for i in range(args.seeds)]
     t = results[0]["rounds"]

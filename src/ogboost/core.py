@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 import zlib
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,19 +26,68 @@ def feature_id(name: str | int) -> int:
     return zlib.crc32(name.encode("utf-8")) & 0xFFFFFFFF
 
 
-@dataclass(frozen=True, slots=True)
 class Example:
     """One stream element: sparse features plus an optional true label.
 
     ``features`` maps feature id to value and must not contain explicit
-    zeros.  ``eid`` is the example's position in its stream.  Stochastic
-    function pools seed their draws with it, so a draw can be made again
-    instead of kept; pool memos key on the example object, not on ``eid``.
+    zeros.  ``ids`` and ``values`` hold the same entries in the same order
+    as read-only int64 and float64 arrays; the slot committees read these.
+    An example built from a dict derives the arrays from it when they are
+    first read.  ``from_arrays`` builds an example on arrays instead, as the
+    rows of ``bench.ExampleColumns`` are built, and its dict is built only
+    when ``features`` is first read.  An example is a value: neither its
+    dict nor its arrays may change once it is built.  ``eid`` is the
+    example's position in its stream.  Stochastic function pools seed their
+    draws with it, so a draw can be made again instead of kept; pool memos
+    key on the example object, not on ``eid``.
     """
 
-    features: dict[int, float]
-    label: float | None = None
-    eid: int = -1
+    __slots__ = ("_features", "_ids", "_values", "label", "eid")
+
+    def __init__(self, features: dict[int, float], label: float | None = None, eid: int = -1):
+        self._features = features
+        self._ids = self._values = None
+        self.label = label
+        self.eid = eid
+
+    @classmethod
+    def from_arrays(cls, ids: np.ndarray, values: np.ndarray, label: float | None = None,
+                    eid: int = -1) -> "Example":
+        """An example on int64 ``ids`` (distinct) and float64 ``values``, kept as given."""
+        ex = cls.__new__(cls)
+        ex._features = None
+        ex._ids = ids
+        ex._values = values
+        ex.label = label
+        ex.eid = eid
+        return ex
+
+    @property
+    def features(self) -> dict[int, float]:
+        if self._features is None:
+            self._features = dict(zip(self._ids.tolist(), self._values.tolist()))
+        return self._features
+
+    @property
+    def ids(self) -> np.ndarray:
+        if self._ids is None:
+            self._derive_arrays()
+        return self._ids
+
+    @property
+    def values(self) -> np.ndarray:
+        if self._values is None:
+            self._derive_arrays()
+        return self._values
+
+    def _derive_arrays(self) -> None:
+        f = self._features
+        self._ids = np.fromiter(f, np.int64, len(f))
+        self._values = np.fromiter(f.values(), np.float64, len(f))
+        self._ids.flags.writeable = self._values.flags.writeable = False
+
+    def __repr__(self) -> str:
+        return f"Example(features={self.features!r}, label={self.label!r}, eid={self.eid!r})"
 
     def validate(self) -> "Example":
         for k, v in self.features.items():

@@ -130,9 +130,9 @@ class LowerBoundPool(FunctionPool):
     a pure function of (seed, example id): it comes from an RNG keyed by
     both, so every stage and every repeated query sees the same "function"
     without rows being kept.  The pool holds only the shared memo's current
-    row and the mean of each row drawn, which ``mean_value`` returns: a
-    float64 array indexed by example id, NaN where no row was drawn, grown
-    by doubling.
+    row and the mean of each row drawn, which ``mean_value`` and
+    ``recorded_means`` return: a float64 array indexed by example id, NaN
+    where no row was drawn, grown by doubling.
     """
 
     def __init__(self, size: int, seed: int):
@@ -157,6 +157,14 @@ class LowerBoundPool(FunctionPool):
             self._means = np.concatenate((self._means, np.full(len(self._means), np.nan)))
         self._means[x.eid] = np.count_nonzero(draws) / self.size
         return draws.astype(np.float64)
+
+    def recorded_means(self, eids: np.ndarray) -> np.ndarray:
+        """The mean of each example id's row; NaN where that row was never drawn."""
+        m = self._means
+        out = np.full(len(eids), math.nan)
+        drawn = (eids >= 0) & (eids < len(m))
+        out[drawn] = m[eids[drawn]]
+        return out
 
     def mean_value(self, x: Example) -> float:
         """Value of the uniform average of all pool members at ``x``."""
@@ -356,8 +364,10 @@ class _SlotCommittee:
     by doubling, so a round costs a fixed number of numpy operations however
     many features are present.
 
-    ``predict`` keeps what it gathered for its example (the rows, the values
-    as an array and a copy of the state rows it reads), and an ``update`` on
+    A round reads the example's ``ids`` and ``values`` arrays, never its
+    feature dict, so a row of ``bench.ExampleColumns`` is used as it is
+    stored.  ``predict`` keeps what it gathered for its example (the rows,
+    the values and a copy of the state rows it reads), and an ``update`` on
     the same example object reuses it instead of gathering again.
     """
 
@@ -388,12 +398,16 @@ class _SlotCommittee:
         memo, self._memo = self._memo, None  # an update changes the state rows
         return memo if memo is not None and memo[0] is x else self._gather(x)
 
-    def _rows(self, keys) -> list[int]:
-        slots = self.slots
-        rows = [slots.get(k, -1) for k in keys]
-        if -1 in rows:
-            rows = [self._add(k) if r < 0 else r for k, r in zip(keys, rows)]
-        return rows
+    def _rows(self, ids: np.ndarray) -> np.ndarray:
+        """The slot rows of these feature ids; an id not seen before gets a new row."""
+        keys = ids.tolist()
+        try:
+            return np.fromiter(map(self.slots.__getitem__, keys), np.intp, len(keys))
+        except KeyError:
+            for k in keys:
+                if k not in self.slots:
+                    self._add(k)
+            return self._rows(ids)
 
     def _add(self, k: int) -> int:
         s = self.slots[k] = len(self.slots)
@@ -421,14 +435,12 @@ class StumpCommittee(_SlotCommittee):
         self._cols = np.arange(n)
 
     def _gather(self, x):
-        feats = x.features
-        keys = sorted(feats)  # argmin ties go to the lowest feature id
-        rows = np.array(self._rows(keys))
-        v = np.array([feats[k] for k in keys], dtype=float)
-        return x, rows, v, self.cum.take(rows, 0)
+        order = x.ids.argsort()  # rows by ascending id: argmin ties go to the lowest id
+        rows = self._rows(x.ids).take(order)
+        return x, rows, x.values.take(order), self.cum.take(rows, 0)
 
     def predict(self, x: Example) -> list[float]:
-        if not x.features:
+        if not len(x.ids):
             return [0.0] * self.n
         self._memo = _, rows, v, cum = self._gather(x)
         choice = cum.argmin(axis=0)
@@ -438,7 +450,7 @@ class StumpCommittee(_SlotCommittee):
 
     def update(self, x: Example, fb) -> None:
         g = _feedback_vector(fb, self.n)
-        if not x.features:
+        if not len(x.ids):
             return
         # StumpLearner.update's operations in its order, so results match bit for bit
         # (each feature's row is updated on its own, so the row order does not matter)
@@ -485,12 +497,11 @@ class OGDCommittee(_SlotCommittee):
         self._t = 0
 
     def _gather(self, x):
-        feats = x.features
-        rows = self._rows(feats)  # may grow self.w, so before reading it
-        return x, rows, np.fromiter(feats.values(), float, len(feats)), self.w.take(rows, 0)
+        rows = self._rows(x.ids)  # may grow self.w, so before reading it
+        return x, rows, x.values, self.w.take(rows, 0)
 
     def predict(self, x: Example) -> list[float]:
-        if not x.features:
+        if not len(x.ids):
             return [0.0] * self.n
         self._memo = _, _, v, w = self._gather(x)
         prods = w * v[:, None]
@@ -503,7 +514,7 @@ class OGDCommittee(_SlotCommittee):
     def update(self, x: Example, fb) -> None:
         g = _feedback_vector(fb, self.n)
         self._t += 1
-        if not x.features:
+        if not len(x.ids):
             return
         # OnlineGradientLearner.update's operations in its order, so results match bit for bit
         _, rows, v, old = self._recall(x)
@@ -520,10 +531,12 @@ class OGDCommittee(_SlotCommittee):
         d = new * new - old * old
         d[0] += self.norm2
         norm2 = np.add.accumulate(d, axis=0, out=d)[-1]
-        over = norm2 > D * D
-        if over.any():
-            self.w[:, over] *= D / np.sqrt(norm2[over])
-            norm2[over] = D * D
+        DD = D * D
+        if (norm2 > DD).any():
+            # sqrt(D * D) is D exactly in binary floating point, so the stages inside
+            # the ball scale by exactly 1.0 and one multiply projects the others
+            self.w *= D / np.sqrt(np.maximum(norm2, DD))
+            np.minimum(norm2, DD, out=norm2)
         self.norm2 = norm2
 
 

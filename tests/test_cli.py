@@ -315,6 +315,31 @@ class TestLowerBound:
         assert code == EXIT_CONFIG
         assert flag in err
 
+    @pytest.mark.parametrize("argv, limit", [
+        (["--rounds", "0"], 2400), (["--rounds", "-1"], 2400), (["--rounds", "2399"], 2400),
+        # 3 / 0.07 = 42.86 rounds to a pool of M = 43, as make_lower_bound_pool rounds it
+        (["--stages", "3", "--scale-c", "0.07", "--rounds", "515"], 516)])
+    def test_rounds_below_12m_is_config_error_before_any_seed(self, capsys, tmp_path,
+                                                              monkeypatch, argv, limit):
+        import ogboost.cli as cli
+
+        def no_seed_runs(*args):
+            raise AssertionError("a seed ran before --rounds was checked")
+
+        monkeypatch.setattr(cli, "lower_bound_once", no_seed_runs)
+        code, out, err = _run(["lower-bound", *argv, "--seeds", "1", "--out-dir", str(tmp_path)],
+                              capsys)
+        assert code == EXIT_CONFIG
+        assert f"config error: --rounds must be >= 12*M = {limit} " in err
+        assert not list(tmp_path.iterdir())
+
+    def test_rounds_at_12m_runs(self, capsys, tmp_path):
+        code, out, err = _run(["lower-bound", "--stages", "3", "--scale-c", "0.07",
+                               "--rounds", "516", "--seeds", "1", "--out-dir", str(tmp_path),
+                               "--tag", "lb"], capsys)
+        assert code == 0
+        assert json.loads((tmp_path / "lb.json").read_text())["config"]["rounds"] == 516
+
     def test_run_deterministic_per_seed(self):
         # sample-mode Hedge draws from a generator seeded by the run's seed
         assert lower_bound_once(2, 5, 1 / 50, None) == lower_bound_once(2, 5, 1 / 50, None)

@@ -304,6 +304,21 @@ class TestHedgeLearner:
                 for i in range(n):
                     np.testing.assert_array_equal(committee.weights[i], singles[i].weights[0])
 
+    def test_first_update_known_answer(self):
+        # multiplicative weights by hand: w_j = exp(-rate * g * f_j / D) / M, renormalized
+        vals, bound, horizon = [0.9, -0.3, 0.5, -1.2], 1.2, 250
+        committee = hedge_committee(_const_pool(vals), 2, horizon)
+        rate = math.sqrt(8.0 * math.log(4) / 250)  # sqrt(8 ln M / T) with M = 4, T = 250
+        feedback = [0.7, -0.4]
+        ex = _ex({0: 1.0}, eid=0)
+        committee.update(ex, feedback)
+        for i, g in enumerate(feedback):
+            raw = [math.exp(-rate * g * v / bound) / 4 for v in vals]
+            expected = [r / sum(raw) for r in raw]
+            assert committee.weights[i].tolist() == pytest.approx(expected, rel=1e-12, abs=0)
+            assert committee.predict(ex)[i] == pytest.approx(
+                sum(w * v for w, v in zip(expected, vals)), rel=1e-12)
+
     @pytest.mark.parametrize("horizon", [None, 300])
     def test_values_normalized_by_output_bound(self, horizon):
         # scaling every pool value and the output bound by 3000 scales the

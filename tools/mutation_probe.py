@@ -1,0 +1,123 @@
+"""Mutation probe: which tests catch one-line errors in the paper's algorithms.
+
+Usage: python3 tools/mutation_probe.py [--only NAME_PART ...] [--baseline]
+
+Each mutation replaces one exact code fragment in a fresh copy of ``src/``,
+``tests/`` and ``pyproject.toml`` made in a temporary directory.  The test
+suite then runs in that copy without ``tests/test_golden.py``, and the probe
+prints the tests that failed, one row per mutation.  The golden digests are
+left out because any change to the arithmetic fails them, so they cannot
+show which behaviour a mutation breaks.  A fragment that does not occur
+exactly once in its file stops the probe: the list below must follow the
+code it names.  ``--baseline`` first runs the unmutated copy, which should
+fail nothing.  The repository itself is never modified.
+
+One run of the suite takes about two minutes on two cores.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import re
+import shutil
+import subprocess
+import sys
+import tempfile
+from dataclasses import dataclass
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+RUN_TIMEOUT_S = 1800
+
+
+@dataclass(frozen=True)
+class Mutation:
+    name: str
+    path: str  # relative to the repository root
+    old: str
+    new: str
+
+
+MUTATIONS = [
+    Mutation("hull stage weight 2/(i+1) -> 1/(i+1)", "src/ogboost/boosting.py",
+             "self.stage_weights = [2.0 / (i + 2)", "self.stage_weights = [1.0 / (i + 2)"),
+    Mutation("span shrink step with its sign flipped", "src/ogboost/boosting.py",
+             "s = shrink[i] + alpha * (grad * y_prev)", "s = shrink[i] - alpha * (grad * y_prev)"),
+    Mutation("stage feedback halved", "src/ogboost/boosting.py",
+             "feedbacks = [grad / lip for grad in grads]",
+             "feedbacks = [grad / (2 * lip) for grad in grads]"),
+    Mutation("Hedge rate x 10", "src/ogboost/learners.py",
+             "return math.sqrt(8.0 * math.log(max(pool_size, 2)) / max(horizon, 1))",
+             "return 10.0 * math.sqrt(8.0 * math.log(max(pool_size, 2)) / max(horizon, 1))"),
+    Mutation("doubling epochs grow x 4, not x 2", "src/ogboost/learners.py",
+             "self.epoch *= 2", "self.epoch *= 4"),
+    Mutation("hull bound mixing term x 100", "src/ogboost/bench.py",
+             "mixing_term = 8.0 * smoothness", "mixing_term = 800.0 * smoothness"),
+]
+
+_FAILED = re.compile(r"^(?:FAILED|ERROR) (\S+)", re.MULTILINE)
+_SUMMARY = re.compile(r"^=*\s*(\d+ (?:passed|failed|error).*?) in [\d.]+s", re.MULTILINE)
+
+
+def _copy_tree(dest: Path) -> None:
+    ignore = shutil.ignore_patterns("__pycache__", "*.pyc")
+    for name in ("src", "tests"):
+        shutil.copytree(ROOT / name, dest / name, ignore=ignore)
+    shutil.copy2(ROOT / "pyproject.toml", dest / "pyproject.toml")
+
+
+def _mutated(text: str, m: Mutation) -> str:
+    count = text.count(m.old)
+    if count != 1:
+        raise SystemExit(f"mutation {m.name!r}: {m.old!r} occurs {count} times in {m.path}")
+    return text.replace(m.old, m.new)
+
+
+def _run_suite(copy: Path) -> tuple[list[str], str]:
+    """(ids of the tests that failed or errored, pytest's summary line)."""
+    env = {**os.environ, "PYTHONPATH": str(copy / "src")}
+    cmd = [sys.executable, "-m", "pytest", "-q", "-rfE", "-p", "no:cacheprovider",
+           "tests", "--ignore=tests/test_golden.py"]
+    out = subprocess.run(cmd, cwd=copy, env=env, capture_output=True, text=True,
+                         timeout=RUN_TIMEOUT_S).stdout
+    summary = _SUMMARY.findall(out)
+    return _FAILED.findall(out), summary[-1] if summary else "no summary (collection failed?)"
+
+
+def probe(mutation: Mutation | None) -> tuple[list[str], str]:
+    with tempfile.TemporaryDirectory(prefix="mutation-probe-") as tmp:
+        copy = Path(tmp)
+        _copy_tree(copy)
+        if mutation is not None:
+            path = copy / mutation.path
+            path.write_text(_mutated(path.read_text(), mutation))
+        return _run_suite(copy)
+
+
+def main(argv: list[str] | None = None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--only", nargs="+", default=None,
+                    help="run the mutations whose names contain one of these strings")
+    ap.add_argument("--baseline", action="store_true", help="run the unmutated copy first")
+    args = ap.parse_args(argv)
+    chosen = [m for m in MUTATIONS
+              if args.only is None or any(s in m.name for s in args.only)]
+    for m in chosen:  # check every fragment before the first long run
+        _mutated((ROOT / m.path).read_text(), m)
+    rows = [None] * args.baseline + chosen
+    print("| mutation | tests that failed (suite without tests/test_golden.py) |")
+    print("| --- | --- |")
+    uncaught = 0
+    for m in rows:
+        failed, summary = probe(m)
+        name = "none (baseline)" if m is None else m.name
+        caught = ", ".join(f"`{f}`" for f in failed) or "none"
+        print(f"| {name} | {len(failed)}: {caught} ({summary}) |", flush=True)
+        uncaught += m is not None and not failed
+    print(f"\n{len(chosen) - uncaught} of {len(chosen)} mutations caught")
+    return 1 if uncaught else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
