@@ -179,11 +179,11 @@ def zero_comparator(length: int) -> ComparatorSpec:
 # file ingestion
 
 
-def _rescale(labels: list[float], label_range: tuple[float, float]) -> list[float]:
+def _rescale(path: Path, labels: list[float], label_range: tuple[float, float]) -> list[float]:
     lo, hi = label_range
     lmin, lmax = min(labels), max(labels)
     if lmin == lmax:
-        raise StreamFormatError("degenerate label column: all labels equal")
+        raise StreamFormatError(f"{path}: degenerate label column: all labels equal")
     if lmin == lo and lmax == hi:
         return labels  # already spans the range; keep parse/serialize exact
     scale = (hi - lo) / (lmax - lmin)
@@ -348,7 +348,7 @@ def parse_stream(path: str | Path, fmt: str, label_range: tuple[float, float] = 
     if not labels:
         raise StreamFormatError(f"{path}: empty file")
 
-    labels = _rescale(labels, label_range)
+    labels = _rescale(path, labels, label_range)
     if not all(map(math.isfinite, labels)):  # the rescale can overflow
         i = next(i for i, l in enumerate(labels) if not math.isfinite(l))
         # example i is the i-th non-blank line after the csv header

@@ -15,12 +15,13 @@ base learner sees unit-Lipschitz linear losses.
 
 The stages are one committee (see ``ogboost.learners``): a round makes one
 committee ``predict`` for all N stage predictions and one ``update`` with
-all N feedbacks.  A plain list of learners is wrapped in a committee that
-calls them one by one; ``booster.learners`` is then ``[committee]``.
-Greedy-offset stages (``GreedyFitLearner``) predict without an offset, so they run through the same round; their update takes
-the round's partial sums y^0 .. y^{N-1} as offsets, plus the true loss, in
-place of the feedbacks.  A booster finds out from its stage learners which
-update they take.
+all N feedbacks.  A plain list of linear-feedback learners is wrapped in a
+committee that calls them one by one; ``booster.learners`` is then
+``[committee]``.  The greedy-offset committee (``GreedyFitLearner``)
+predicts without an offset, so it runs through the same round; its update
+takes the round's partial sums y^0 .. y^{N-1} as offsets, plus the true
+loss, in place of the feedbacks.  A booster finds out from its committee's
+``greedy_offsets`` marker which update it takes.
 
 A booster instance owns its learners and is single-threaded; independent
 instances may run in parallel.
@@ -54,15 +55,13 @@ class RoundTrace:
 
 
 class _LearnerList:
-    """Committee protocol over independent stage learners, called one by one."""
+    """Committee protocol over independent linear-feedback stage learners, called one by one."""
 
     def __init__(self, learners: list):
         if not learners:
             raise ValueError("need at least one base learner")
-        kinds = {getattr(lrn, "greedy_offsets", False) for lrn in learners}
-        if len(kinds) > 1:
-            raise ValueError("stage learners mix greedy-offset and linear-feedback updates")
-        self.greedy_offsets = kinds.pop()
+        if any(getattr(lrn, "greedy_offsets", False) for lrn in learners):
+            raise ValueError("greedy stages run as one committee, GreedyFitLearner(pool, n)")
         self.learners = learners
         self.deterministic = all(getattr(lrn, "deterministic", False) for lrn in learners)
 
@@ -72,10 +71,9 @@ class _LearnerList:
     def predict(self, x: Example) -> list:
         return [lrn.predict(x) for lrn in self.learners]
 
-    def update(self, x: Example, per_stage: list, *loss: LossInstance) -> None:
-        """Stage i gets ``per_stage[i]``: its feedback, or its offset and ``loss``."""
-        for lrn, v in zip(self.learners, per_stage):
-            lrn.update(x, v, *loss)
+    def update(self, x: Example, feedbacks: list) -> None:
+        for lrn, g in zip(self.learners, feedbacks):
+            lrn.update(x, g)
 
 
 class _BoosterBase:

@@ -88,8 +88,14 @@ class RunConfig:
             losses.parse_loss_flag(self.loss)
         except ValueError as e:
             errs.append(f"--loss: {e}")
+        if self.base == "greedy" and self.loss.strip().lower() == "linear":
+            errs.append("--base greedy needs a loss with positive smoothness, not --loss linear")
         if self.base not in ("ogd", "stump", "hedge-pool", "greedy"):
             errs.append(f"--base must be one of ogd, stump, hedge-pool, greedy, got {self.base!r}")
+        if self.base in ("hedge-pool", "greedy") and (
+                self.data is not None or self.synthetic == "additive"):
+            errs.append(f"--base {self.base} requires a synthetic pool stream: --synthetic "
+                        "planted, planted-span or planted-hull, without --data")
         if not (math.isfinite(self.scale) and self.scale >= 1.0):
             errs.append(f"--scale must be finite and >= 1, got {self.scale}")
         if not (math.isfinite(self.lr) and self.lr > 0.0):
@@ -174,25 +180,19 @@ def build_learners(cfg: RunConfig, stream, pool, loss_class):
             stage = learners.symmetrize(lambda: make(n, 1.0, cfg.lr), horizon)
         else:
             stage = make(n, 1.0, cfg.lr)
-    elif cfg.base == "hedge-pool":
-        if pool is None:
-            raise ValueError("--base hedge-pool requires a synthetic pool stream")
+    elif cfg.base == "hedge-pool":  # validate() gives hedge-pool and greedy a pool stream
         committee = pool.symmetrized()
         stage = learners.hedge_committee(committee, n, horizon, seed=cfg.seed)
-    else:  # greedy: one fitter per stage, the only per-copy path
-        if pool is None:
-            raise ValueError("--base greedy requires a synthetic pool stream")
+    else:  # greedy
         if cfg.algo == "span":
             eta = boosting.auto_eta(n) if cfg.eta == "auto" else float(cfg.eta)
             offset_bound = loss_class.solve_ball_radius(eta, n, 1.0)
         else:
             offset_bound = 1.0
         params = loss_class.ball_params(offset_bound + 1.0)  # offsets plus unit step reach
-        sym = pool.symmetrized()
-        stage = [learners.greedy_adapter(learners.GreedyFitLearner(sym), horizon,
-                                         params, offset_bound=offset_bound)
-                 for _ in range(n)]
-    if cfg.scale > 1.0:  # validate() rules out greedy, so this wraps one committee
+        stage = learners.greedy_adapter(learners.GreedyFitLearner(pool.symmetrized(), n),
+                                        horizon, params, offset_bound=offset_bound)
+    if cfg.scale > 1.0:
         stage = boosting.scale_wrap(stage, cfg.scale)
     return stage, committee
 

@@ -12,9 +12,9 @@ was y -> g . y.  Implementations:
 * ``symmetrize`` -- per stage of a committee, a Hedge mixture of the
   stage, its negation-trained twin in a second committee and the zero arm,
   extending the comparator class with negations.
-* ``GreedyFitLearner`` -- a follow-the-leader fitter that consumes the true
-  loss at an offset instead of linear feedback, with its step size and
-  offset bound fixed by ``greedy_adapter``.  Its class marker
+* ``GreedyFitLearner`` -- N follow-the-leader fitters that consume the true
+  loss at the stages' offsets instead of linear feedback, with step size
+  and offset bound fixed by ``greedy_adapter``.  Its class marker
   ``greedy_offsets`` tells a booster that its stages update on offsets.
 
 A booster runs N copies of one learner that all see the same example, so
@@ -25,7 +25,8 @@ stage feedbacks, checked once per round.  ``ogd_committee`` and
 independent copies bit for bit.  ``hedge_committee`` runs multiplicative
 weights over a finite function pool as an (N x M) weight matrix, on a known
 horizon or the doubling schedule; its weights equal N one-stage committees
-bit for bit and its predictions up to summation order.  A plain list of
+bit for bit and its predictions up to summation order; the greedy committee
+equals N one-stage committees bit for bit.  A plain list of linear-feedback
 learners is run as a committee by the booster.
 
 Learner instances are single-threaded mutable state; independent boosters
@@ -56,14 +57,14 @@ def _check_feedback(g: Vector) -> Vector:
     return g
 
 
-def _feedback_vector(fb, n: int) -> np.ndarray:
-    """A committee's n scalar stage feedbacks, checked as ``_check_feedback`` does."""
+def _feedback_vector(fb, n: int, bound: float = 1.0, what: str = "linear feedback") -> np.ndarray:
+    """A committee's n scalar stage feedbacks (or offsets), each checked for |g| <= bound."""
     g = np.asarray(fb, dtype=float)
     if g.shape != (n,):
-        raise ValueError(f"expected {n} stage feedbacks, got shape {g.shape}")
+        raise ValueError(f"expected {n} stage {what} values, got shape {g.shape}")
     top = np.abs(g).max()
-    if not top <= 1.0 + FEEDBACK_TOL:  # also rejects NaN
-        raise ValueError(f"linear feedback norm {top:.6g} exceeds 1")
+    if not top <= bound + FEEDBACK_TOL:  # also rejects NaN
+        raise ValueError(f"{what} norm {top:.6g} exceeds {bound:g}")
     return g
 
 
@@ -709,45 +710,45 @@ def symmetrize(build: Callable[[], object], horizon: int | None = None) -> Symme
 
 
 class GreedyFitLearner:
-    """Follow-the-leader greedy fitter over a finite function pool.
+    """N follow-the-leader greedy fitters over one finite function pool.
 
-    Instead of linear feedback it receives, each round, an offset y' and
-    the round's true loss, suffering loss(y' + alpha * prediction).  The
-    prediction is the pool member with the lowest cumulative offset loss so
-    far (ties to the lowest index).  An update offset beyond
-    ``offset_bound`` is a contract violation and raises; ``greedy_adapter``
-    fixes both alpha and the bound from the booster's configuration.
+    Each round stage i gets an offset y'_i and the true loss; row i of the
+    (N x M) matrix ``cum`` sums loss(y'_i + alpha * f_j(x)) for each pool
+    member j, and stage i predicts with the member of lowest sum (ties to
+    the lowest index).  An offset beyond ``offset_bound`` raises before any
+    stage is updated; ``greedy_adapter`` fixes alpha and the bound.
     """
 
     deterministic = True
     greedy_offsets = True
     offset_bound = math.inf
 
-    def __init__(self, pool: FunctionPool, alpha: float = 0.0):
+    def __init__(self, pool: FunctionPool, n: int = 1, alpha: float = 0.0):
+        if n < 1:
+            raise ValueError("committee size must be >= 1")
         if alpha < 0:
             raise ValueError(f"step size alpha must be >= 0, got {alpha}")
         self.pool = pool
         self.alpha = alpha
         self.output_bound = pool.output_bound
-        self.cum = np.zeros(len(pool))
+        self.cum = np.zeros((n, len(pool)))
 
-    def predict(self, x: Example) -> float:
-        vals = self.pool.values(x)
-        return float(vals[int(np.argmin(self.cum))])
+    def __len__(self) -> int:
+        return len(self.cum)
 
-    def update(self, x: Example, offset: Vector, loss: LossInstance) -> None:
-        if vnorm(offset) > self.offset_bound + FEEDBACK_TOL:
-            raise ValueError(f"offset norm {vnorm(offset):.6g} exceeds declared bound "
-                             f"{self.offset_bound}")
+    def predict(self, x: Example) -> list[float]:
+        return self.pool.values(x)[self.cum.argmin(axis=1)].tolist()
+
+    def update(self, x: Example, offsets, loss: LossInstance) -> None:
+        offsets = _feedback_vector(offsets, len(self.cum), self.offset_bound, "offset")
         vals = self.pool.values(x)
-        a = self.alpha
-        self.cum += np.array([loss.evaluate(offset + a * v) for v in vals])
+        self.cum += loss.evaluates(offsets[:, None] + self.alpha * vals)
 
 
 def greedy_adapter(fitter: GreedyFitLearner, horizon: int, smooth_params: BallParams,
                    offset_bound: float, regret_model: str = "sqrt",
                    regret_fn: Callable[[int], float] = math.sqrt) -> GreedyFitLearner:
-    """Fix a greedy fitter's step size and offset bound in advance; returns the fitter.
+    """Fix a greedy committee's step size and offset bound in advance; returns it.
 
     The step size alpha is computed from a regret model R(T) for the
     fitter:

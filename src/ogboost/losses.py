@@ -97,6 +97,17 @@ class LossInstance:
             return math.log1p(math.exp(z)) if z < 30 else z
         raise ValueError(f"unknown loss family: {f}")
 
+    def evaluates(self, ys: np.ndarray) -> np.ndarray:
+        """``evaluate`` at each scalar prediction of a float64 array, bit for bit."""
+        f, t = self.family, self.y_star
+        if f == "linear":
+            return -t * ys
+        if f in ("squared", "modified_least_squares"):  # the same operations in the same order
+            d = ys - t if f == "squared" else np.maximum(1.0 - t * ys, 0.0)
+            return 0.5 * d * d
+        # numpy's exp, log1p and power round differently from math's and **
+        return np.vectorize(self.evaluate, otypes=[float])(ys)
+
     def gradient(self, y: Vector) -> Vector:
         """A subgradient of the loss at ``y`` (scalar derivative at d=1)."""
         f = self.family

@@ -6,9 +6,11 @@ import random
 import re
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import ogboost.bench
 from ogboost.core import Example
@@ -35,6 +37,30 @@ from ogboost.bench import (
     write_stream,
     zero_comparator,
 )
+
+
+# libsvm text with duplicate ids, ids beyond int64, zeros, -0.0, non-finite
+# values, tabs, double spaces and misplaced colons
+_ID_TOKENS = st.one_of(
+    st.integers(0, 10**6).map(str),
+    st.sampled_from(["0", "1", "3", "01", "-2", "+4", "1e2", "a", "",
+                     "9223372036854775807", "9223372036854775808", "1" * 25]))
+_VALUE_TOKENS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.floats().map(repr),
+    st.sampled_from(["1", "0", "0.0", "-0.0", "2.5", "-3", "nan", "inf", "-inf", "1e999",
+                     "-1e999", "1e-320", "", ".", "x"]))
+_PAIR_TOKENS = st.builds("{}{}{}".format, _ID_TOKENS,
+                         st.sampled_from([":"] * 6 + ["::", ""]), _VALUE_TOKENS)
+_SEPARATORS = st.sampled_from([" "] * 6 + ["  ", "\t", " \t"])
+
+
+@st.composite
+def _libsvm_lines(draw):
+    toks = [draw(_VALUE_TOKENS)] + draw(st.lists(_PAIR_TOKENS, max_size=5))
+    line = toks[0] + "".join(draw(_SEPARATORS) + tok for tok in toks[1:])
+    return (draw(st.sampled_from([""] * 6 + [" "])) + line
+            + draw(st.sampled_from([""] * 6 + [" ", "\t"])))
 
 
 class TestParsing:
@@ -175,6 +201,33 @@ class TestParsing:
         for a, b in zip(s1.examples, s2.examples):
             assert b.features == a.features
             assert b.label == pytest.approx(-1.0 + 2.0 * (a.label - lo) / (hi - lo), abs=1e-12)
+
+    @given(line=_libsvm_lines())
+    @settings(max_examples=400, deadline=None)
+    def test_fast_path_agrees_with_token_path(self, line):
+        plain = ogboost.bench._plain_libsvm_line(line, ogboost.bench._FeatureIds())
+        if plain is not None:
+            token = ogboost.bench._libsvm_line(Path("d.svm"), 1, line)
+            assert repr(plain) == repr(token)  # repr tells -0.0 from 0.0 and int from float
+
+    @given(lines=st.lists(st.one_of(_libsvm_lines(), st.just("")), min_size=1, max_size=6))
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_fuzzed_file_parses_or_cites_where(self, tmp_path, lines):
+        p = tmp_path / "fuzz.svm"
+        p.write_text("\n".join(lines) + "\n")
+        try:
+            stream = parse_stream(p, "libsvm")
+        except StreamFormatError as e:
+            located = re.match(rf"{re.escape(str(p))}:(\d+): ", str(e))
+            # a fault of the whole file (empty, all labels equal) cites the file alone
+            assert located or str(e).startswith(f"{p}: "), str(e)
+            assert located is None or 1 <= int(located[1]) <= len(lines)
+            return
+        assert len(stream) == sum(bool(line.strip()) for line in lines)
+        for ex in stream.examples:
+            assert len(set(ex.ids.tolist())) == len(ex.ids)
+            assert np.isfinite(ex.values).all() and (ex.values != 0.0).all()
 
     def test_replay_determinism(self, tmp_path):
         pool = make_region_pool(4)

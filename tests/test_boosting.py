@@ -1,6 +1,7 @@
 """Boosters: stage recurrences, round protocol, invariants, wrappers."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -334,49 +335,61 @@ class TestGreedyOffsets:
             greedy_offsets = True
             output_bound = 1.0
 
+            def __len__(self):
+                return 2
+
             def predict(self, x):
-                return 0.5
+                return [0.5, 0.5]
 
-            def update(self, x, offset, loss):
-                received.append(offset)
+            def update(self, x, offsets, loss):
+                received.append(offsets)
 
-        b = SpanBooster(SQ, [Recorder(), Recorder()], eta=0.5)
+        b = SpanBooster(SQ, Recorder(), eta=0.5)
         ex = _ex()
         y, tr = b.predict(ex)
         b.update(ex, tr, SQ.make(0.5))
-        assert received == tr.partial_sums[:2]
+        assert received == [tr.partial_sums[:2]]
 
     @pytest.mark.parametrize("booster", [SpanBooster, HullBooster])
-    def test_mixed_greedy_and_linear_stages_rejected(self, booster):
+    @pytest.mark.parametrize("linear_stages", [0, 1])
+    def test_list_holding_a_greedy_stage_rejected(self, booster, linear_stages):
         pool = FunctionPool([lambda x: 0.5, lambda x: -0.5])
         params = SQ.ball_params(2.0)
         greedy = greedy_adapter(GreedyFitLearner(pool), 10, params, offset_bound=1.0)
-        with pytest.raises(ValueError, match="mix greedy-offset and linear-feedback"):
-            booster(SQ, [greedy, OnlineGradientLearner()])
+        stages = [greedy] + [OnlineGradientLearner() for _ in range(linear_stages)]
+        with pytest.raises(ValueError, match=re.escape("GreedyFitLearner(pool, n)")):
+            booster(SQ, stages)
 
     def test_adapter_inside_hull_booster(self):
         class CountingFitter(GreedyFitLearner):
             updates = 0
 
-            def update(self, x, offset, loss):
-                super().update(x, offset, loss)
+            def update(self, x, offsets, loss):
+                super().update(x, offsets, loss)
                 self.updates += 1
 
         rng = np.random.default_rng(15)
-        rounds, m = 300, 4
+        rounds, m, n = 300, 4, 3
         vals = rng.uniform(-1, 1, size=(rounds, m))
         rows = {t: vals[t] for t in range(rounds)}
         pool = FunctionPool([(lambda x, _j=j: float(rows[x.eid][_j])) for j in range(m)])
         params = SQ.ball_params(2.0)
-        ads = [greedy_adapter(CountingFitter(pool), rounds, params, offset_bound=1.0)
-               for _ in range(3)]
-        b = HullBooster(SQ, ads)
+        committee = greedy_adapter(CountingFitter(pool, n), rounds, params, offset_bound=1.0)
+        # each stage driven on its own with the partial sum the booster hands it
+        singles = [OneStage(greedy_adapter(GreedyFitLearner(pool), rounds, params,
+                                           offset_bound=1.0)) for _ in range(n)]
+        b = HullBooster(SQ, committee)
         for t in range(rounds):
             ex = Example({0: 1.0}, float(np.clip(vals[t, 0], -1, 1)), eid=t)
             loss = SQ.make(ex.label)
             y, tr = b.predict(ex)
+            assert tr.arms == [s.predict(ex) for s in singles]
             b.update(ex, tr, loss)
-        assert all(ad.updates == rounds for ad in ads)
+            for s, offset in zip(singles, tr.partial_sums):
+                s.update(ex, offset, loss)
+        assert committee.updates == rounds
+        assert all((committee.cum[i] == s.committee.cum[0]).all()
+                   for i, s in enumerate(singles))
 
 
 class TestVectorPredictions:

@@ -64,7 +64,12 @@ class TestValidation:
 
     @pytest.mark.parametrize("argv", [
         ["--scale", "nan"], ["--scale", "inf"], ["--lr", "nan"], ["--lr", "-1"],
-        ["--noise", "nan"], ["--noise", "-1"], ["--norm1", "nan"], ["--norm1", "-2"]])
+        ["--noise", "nan"], ["--noise", "-1"], ["--norm1", "nan"], ["--norm1", "-2"],
+        ["--base", "greedy", "--loss", "linear"],
+        ["--base", "greedy", "--synthetic", "additive"],
+        ["--base", "hedge-pool", "--synthetic", "additive"],
+        ["--base", "greedy", "--data", "missing.svm"],
+        ["--base", "hedge-pool", "--data", "missing.svm"]])
     def test_bad_float_flag_exits_config_naming_it(self, capsys, tmp_path, argv):
         code, out, err = _run(["run", "--rounds", "300", *argv, "--out-dir", str(tmp_path)],
                               capsys)

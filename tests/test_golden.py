@@ -7,7 +7,7 @@ the OGD, stump and Hedge committees, Hedge on the doubling schedule
 (``horizon=None``) as a list of one-stage committees and as one N-stage
 committee, a symmetrized OGD committee and a symmetrized stump committee on
 the doubling schedule, a symmetrized OGD committee with the known horizon T
-(as the CLI builds it), a stump committee scaled by 2 and greedy fitters.
+(as the CLI builds it), a stump committee scaled by 2 and a greedy committee.
 Each also runs on the same examples without ids, the ``Example`` default,
 where pool memos cannot key on an id.
 
@@ -17,10 +17,12 @@ which the committees replaced; they must equal those lists bit for bit.  The
 learner, which one-stage committees replaced, also bit for bit.  The N-stage
 doubling committee sums each prediction over its weight matrix in another
 order, so its digests are its own and its losses must lie within 1e-12 of
-the one-stage committees'.
+the one-stage committees'.  The ``greedy`` digests were recorded from lists
+of per-copy greedy fitters, which one N-stage committee replaced, also bit
+for bit.
 
 These keys read ``algo/kind/ids`` and use squared loss.  Keys with a fourth
-part ``algo/kind/ids/family`` run the OGD committee or the greedy stages on
+part ``algo/kind/ids/family`` run the OGD committee or the greedy committee on
 the same stream re-bound to another loss family (greedy needs a smooth
 family, so not ``linear``).
 
@@ -70,9 +72,7 @@ def _greedy(sym, algo: str, lc: LossClass):
     n = STAGES
     offset_bound = lc.solve_ball_radius(auto_eta(n), n, 1.0) if algo == "span" else 1.0
     params = lc.ball_params(offset_bound + 1.0)
-    ads = [greedy_adapter(GreedyFitLearner(sym), ROUNDS, params, offset_bound=offset_bound)
-           for _ in range(n)]
-    return ads, 1.0
+    return greedy_adapter(GreedyFitLearner(sym, n), ROUNDS, params, offset_bound=offset_bound), 1.0
 
 
 # kind -> (symmetrized pool, algo, loss class) -> (stage learners or committee,

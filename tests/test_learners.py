@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from ogboost.core import Example
-from ogboost.losses import LossClass
+from ogboost.losses import LossClass, parse_loss_flag
 from ogboost.learners import (
     FunctionPool,
     GreedyFitLearner,
@@ -521,8 +521,22 @@ class TestGreedyAdapter:
         pool = _const_pool([0.5, -0.5])
         params = LossClass("squared").ball_params(2.0)
         ad = greedy_adapter(GreedyFitLearner(pool), 100, params, offset_bound=1.0)
+        with pytest.raises(ValueError, match="offset norm 1.5 exceeds 1"):
+            OneStage(ad).update(_ex({0: 1.0}, eid=0), 1.5, LossClass("squared").make(0.2))
+
+    @pytest.mark.parametrize("offsets", [[0.5, 1.5], [math.nan, 0.0], [0.5],
+                                         [np.array([0.1, 0.2]), np.array([0.1, 0.2])]],
+                             ids=["beyond-bound", "nan", "too-few", "vectors"])
+    def test_committee_checks_every_stage_offset_first(self, offsets):
+        pool = _const_pool([0.5, -0.5])
+        params = LossClass("squared").ball_params(2.0)
+        ad = greedy_adapter(GreedyFitLearner(pool, 2), 100, params, offset_bound=1.0)
+        ex = _ex({0: 1.0}, eid=0)
+        ad.update(ex, [-1.0 - 0.5e-9, 1.0 + 0.5e-9], LossClass("squared").make(0.2))
+        cum = ad.cum.copy()
         with pytest.raises(ValueError):
-            ad.update(_ex({0: 1.0}, eid=0), 1.5, LossClass("squared").make(0.2))
+            ad.update(ex, offsets, LossClass("squared").make(0.2))
+        np.testing.assert_array_equal(ad.cum, cum)  # no stage was updated
 
     def test_zero_alpha_degenerate(self):
         pool = _const_pool([0.5, -0.5])
@@ -532,10 +546,11 @@ class TestGreedyAdapter:
         assert ad.alpha == 0.0
         lc = LossClass("squared")
         ex = _ex({0: 1.0}, eid=0)
-        p = ad.predict(ex)
+        stage = OneStage(ad)
+        p = stage.predict(ex)
         assert abs(p) <= pool.output_bound
-        ad.update(ex, 0.5, lc.make(0.2))  # loss independent of the prediction
-        np.testing.assert_allclose(ad.cum, ad.cum[0])
+        stage.update(ex, 0.5, lc.make(0.2))  # loss independent of the prediction
+        np.testing.assert_allclose(ad.cum, ad.cum[0, 0])
 
     def test_linear_regret_chain_on_planted_stream(self):
         # derived check: the adapter's linear regret obeys the smoothness
@@ -550,6 +565,7 @@ class TestGreedyAdapter:
         params = lc.ball_params(1.5)
         ad = greedy_adapter(GreedyFitLearner(pool), rounds, params, offset_bound=0.5)
         alpha, beta = ad.alpha, params.smoothness
+        stage = OneStage(ad)
 
         offsets = 0.4 * np.sin(np.arange(rounds) / 50.0)
         labels = np.clip(0.6 * member_vals[:, 0] + 0.05 * rng.standard_normal(rounds), -1, 1)
@@ -562,17 +578,61 @@ class TestGreedyAdapter:
             ex = _ex({0: 1.0}, eid=t)
             inst = lc.make(float(labels[t]))
             y0 = float(offsets[t])
-            pred = ad.predict(ex)
+            pred = stage.predict(ex)
             grad = inst.gradient(y0)
             lin_self += grad * pred
             lin_member += grad * member_vals[t]
             offset_self += inst.evaluate(y0 + alpha * pred)
             offset_member += np.array([inst.evaluate(y0 + alpha * v)
                                        for v in member_vals[t]])
-            ad.update(ex, y0, inst)
+            stage.update(ex, y0, inst)
         r_true = max(offset_self - float(offset_member.min()), 0.0)
         bound = (beta / 2.0) * alpha * 1.0 * rounds + r_true / alpha
         assert lin_self <= float(lin_member.min()) + bound + 1e-9
+
+
+class TestGreedyCommittee:
+    def test_committee_size_checked(self):
+        with pytest.raises(ValueError, match="committee size"):
+            GreedyFitLearner(_const_pool([0.5, -0.5]), 0)
+
+    def test_each_stage_follows_its_own_leader(self):
+        # at alpha = 1 and label 0, member value v costs (y' + v)^2 / 2 at offset y';
+        # offset 0.5 favours -0.5, and offset -0.5 ties 0.75 with 0.25 (both cost 1/32)
+        pool = _const_pool([-0.5, 0.75, 0.25])
+        committee = GreedyFitLearner(pool, 2, alpha=1.0)
+        ex = _ex({0: 1.0}, eid=0)
+        committee.update(ex, [0.5, -0.5], LossClass("squared").make(0.0))
+        np.testing.assert_array_equal(committee.cum, [[0.0, 0.78125, 0.28125],
+                                                      [0.5, 0.03125, 0.03125]])
+        assert committee.predict(ex) == [-0.5, 0.75]  # the tie goes to the lower index
+
+    @pytest.mark.parametrize("family", ["squared", "p-norm:3", "mls", "logistic"])
+    def test_committee_equals_one_stage_committees(self, family):
+        # each round every stage gets its own offset; the scalar loop below is
+        # the per-copy fitter's update, written out as the reference
+        rng = np.random.default_rng(22)
+        rounds, m, n = 200, 6, 4
+        member_vals = rng.uniform(-1, 1, size=(rounds, m))
+        rows = {t: member_vals[t] for t in range(rounds)}
+        pool = FunctionPool([(lambda x, _j=j: float(rows[x.eid][_j])) for j in range(m)])
+        lc = parse_loss_flag(family)
+        params = lc.ball_params(2.0)
+        committee = greedy_adapter(GreedyFitLearner(pool, n), rounds, params, offset_bound=1.0)
+        singles = [OneStage(greedy_adapter(GreedyFitLearner(pool), rounds, params,
+                                           offset_bound=1.0)) for _ in range(n)]
+        ref = np.zeros((n, m))
+        for t in range(rounds):
+            ex = _ex({0: 1.0}, eid=t)
+            assert committee.predict(ex) == [s.predict(ex) for s in singles]
+            offsets = rng.uniform(-1, 1, n).tolist()
+            loss = lc.make(float(rng.uniform(-1, 1)))
+            committee.update(ex, offsets, loss)
+            for i, (s, offset) in enumerate(zip(singles, offsets)):
+                s.update(ex, offset, loss)
+                assert (committee.cum[i] == s.committee.cum[0]).all()
+                ref[i] += [loss.evaluate(offset + committee.alpha * v) for v in member_vals[t]]
+            assert (committee.cum == ref).all()
 
 
 class TestLowerBoundPool:

@@ -10,6 +10,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from ogboost.core import project_to_ball
 from ogboost.losses import LossClass, bisect_ball_radius, parse_loss_flag
@@ -68,6 +70,26 @@ class TestGradientFiniteDifference:
                 continue  # kink of the hinge, subgradient may differ from FD
             inst = lc.make(y_star)
             assert inst.gradient(y) == pytest.approx(_fd_gradient(inst, y), abs=1e-5)
+
+
+_NEAR_30 = [math.nextafter(30.0, 0.0), 30.0, math.nextafter(30.0, 31.0)]
+_PREDICTIONS = st.one_of(
+    st.floats(-40.0, 40.0),
+    st.sampled_from([0.0, -0.0, 1.0, -1.0] + _NEAR_30 + [-z for z in _NEAR_30]))
+_LABELS = st.one_of(st.floats(-1.0, 1.0), st.sampled_from([-1.0, -0.0, 0.0, 1.0]))
+
+
+class TestArrayEvaluation:
+    @pytest.mark.parametrize("lc", ALL_FAMILIES, ids=lambda c: f"{c.family}-p{c.p}")
+    @given(y_star=_LABELS, ys=arrays(np.float64, array_shapes(max_dims=2, max_side=5),
+                                     elements=_PREDICTIONS))
+    @settings(max_examples=200, deadline=None)
+    def test_equals_the_scalar_loss_bit_for_bit(self, lc, y_star, ys):
+        inst = lc.make(y_star)
+        want = np.array([inst.evaluate(float(y)) for y in ys.flat]).reshape(ys.shape)
+        got = inst.evaluates(ys)
+        assert got.dtype == np.float64 and np.array_equal(got, want)
+        assert (np.signbit(got) == np.signbit(want)).all()
 
 
 class TestBallParams:

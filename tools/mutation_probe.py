@@ -54,6 +54,13 @@ MUTATIONS = [
              "self.epoch *= 2", "self.epoch *= 4"),
     Mutation("hull bound mixing term x 100", "src/ogboost/bench.py",
              "mixing_term = 8.0 * smoothness", "mixing_term = 800.0 * smoothness"),
+    Mutation("greedy step without alpha", "src/ogboost/learners.py",
+             "offsets[:, None] + self.alpha * vals", "offsets[:, None] + vals"),
+    Mutation("greedy argmin -> argmax", "src/ogboost/learners.py",
+             "self.cum.argmin(axis=1)", "self.cum.argmax(axis=1)"),
+    Mutation("greedy adapter 2R -> R", "src/ogboost/learners.py",
+             'math.sqrt(2.0 * r / denom) if regret_model == "sqrt" else 2.0 * r / denom',
+             'math.sqrt(r / denom) if regret_model == "sqrt" else r / denom'),
 ]
 
 _FAILED = re.compile(r"^(?:FAILED|ERROR) (\S+)", re.MULTILINE)
