@@ -476,27 +476,45 @@ def planted_hull_stream(pool: RegionPool, weights, noise_sigma: float, rounds: i
     return stream, comp
 
 
+_ADDITIVE_CHUNK = 1024  # rows drawn at a time by make_additive_stream
+
+
 def make_additive_stream(rounds: int, seed: int, n_signal: int = 5, n_noise: int = 5,
                          coeffs=(0.3, 0.25, 0.2, 0.15, 0.1), present_p: float = 0.6,
                          noise_sigma: float = 0.05) -> Stream:
     """Sparse stream whose target is a sum of per-feature components.
 
     Signal feature j contributes coeffs[j] * value when present; noise
-    features carry no signal.  Labels are clipped to [-1, 1].
+    features carry no signal.  Labels are clipped to [-1, 1].  For F features
+    the draws are three runs of the PCG64 stream ``seeded_rng(seed, "additive")``:
+    T*F presence uniforms from word 0, T*F signs (32-bit halves) from word T*F,
+    T noises from word T*F + ceil(T*F/2).  Each run has its own generator
+    advanced to its start, so rows are drawn in chunks: pass 1 counts each
+    row's features and pass 2 fills exactly sized columns.
     """
     if len(coeffs) != n_signal:
         raise ValueError("one coefficient per signal feature required")
-    rng = seeded_rng(seed, "additive")
-    n_feat = n_signal + n_noise
-    present = rng.random((rounds, n_feat)) < present_p
-    signs = (rng.integers(0, 2, (rounds, n_feat)) * 2 - 1).astype(float)
-    noise = noise_sigma * rng.standard_normal(rounds)
-    values = np.where(present, signs, 0.0)
-    labels = np.clip(values[:, :n_signal] @ np.asarray(coeffs) + noise, -1.0, 1.0)
-    rows, cols = np.nonzero(present)  # row by row, each row's features by ascending id
-    indptr = np.append(0, np.cumsum(np.count_nonzero(present, axis=1)))
-    columns = ExampleColumns(indptr, cols + 1, values[rows, cols], labels)
-    return Stream(columns.validate(), LossClass("squared"), source="synthetic:additive",
+    n_feat, coeffs, draws = n_signal + n_noise, np.asarray(coeffs), rounds * (n_signal + n_noise)
+    counts, presence, signs, noise = rngs = [seeded_rng(seed, "additive") for _ in range(4)]
+    for rng, start in zip(rngs, (0, 0, draws, draws + (draws + 1) // 2)):
+        rng.bit_generator.advance(start)
+    # numpy sums a one-row product in another order, so a lone last row joins the chunk before it
+    bounds = [*range(0, max(rounds - 1, 1), _ADDITIVE_CHUNK), rounds]
+    indptr = np.zeros(rounds + 1, dtype=np.int64)
+    for lo, hi in zip(bounds, bounds[1:]):
+        indptr[lo + 1:hi + 1] = np.count_nonzero(counts.random((hi - lo, n_feat)) < present_p, 1)
+    np.cumsum(indptr, out=indptr)
+    ids, values, labels = np.empty(indptr[-1], np.int64), np.empty(indptr[-1]), np.empty(rounds)
+    row_ids = np.tile(np.arange(1, n_feat + 1), _ADDITIVE_CHUNK + 1)  # each row's ids, ascending
+    for lo, hi in zip(bounds, bounds[1:]):
+        present = presence.random((hi - lo, n_feat)) < present_p
+        vals = np.where(present, (signs.integers(0, 2, present.shape) * 2 - 1).astype(float), 0.0)
+        labels[lo:hi] = np.clip(vals[:, :n_signal] @ coeffs
+                                + noise_sigma * noise.standard_normal(hi - lo), -1.0, 1.0)
+        np.compress(present.ravel(), row_ids, out=ids[indptr[lo]:indptr[hi]])
+        np.compress(present.ravel(), vals, out=values[indptr[lo]:indptr[hi]])
+    return Stream(ExampleColumns(indptr, ids, values, labels).validate(), LossClass("squared"),
+                  source="synthetic:additive",
                   meta={"seed": seed, "n_signal": n_signal, "n_noise": n_noise})
 
 
@@ -557,7 +575,9 @@ def uniform_pool_comparator(stream: Stream, pool: LowerBoundPool) -> ComparatorS
 
 def _pool_matrix(stream: Stream, pool: FunctionPool) -> np.ndarray:
     """The T x M matrix of pool values; a non-finite value raises, naming where."""
-    V = np.array([pool.values(ex) for ex in stream.examples])
+    V = np.empty((len(stream), len(pool)))
+    for t, ex in enumerate(stream.examples):
+        V[t] = pool.values(ex)
     bad = np.argwhere(~np.isfinite(V))
     if len(bad):
         t, j = bad[0]

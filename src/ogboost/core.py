@@ -160,8 +160,8 @@ def seeded_rng(seed: int, *tags: int | str) -> np.random.Generator:
     through crc32, so every stochastic component owns an explicit,
     reproducible stream and traces are portable across machines.
     """
-    entropy = [seed & 0xFFFFFFFF] + [
+    entropy = np.array([seed & 0xFFFFFFFF] + [
         zlib.crc32(t.encode("utf-8")) & 0xFFFFFFFF if isinstance(t, str) else t & 0xFFFFFFFF
         for t in tags
-    ]
+    ], dtype=np.uint32)
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))

@@ -323,6 +323,76 @@ class TestPlantedStreams:
         assert s.labels.min() >= -1.0 and s.labels.max() <= 1.0
 
 
+def _additive_one_shot(rounds, seed, n_signal=5, n_noise=5, coeffs=(0.3, 0.25, 0.2, 0.15, 0.1),
+                       present_p=0.6, noise_sigma=0.05):
+    """The additive columns drawn in one shot from one generator: the reference."""
+    rng = ogboost.bench.seeded_rng(seed, "additive")
+    n_feat = n_signal + n_noise
+    present = rng.random((rounds, n_feat)) < present_p
+    signs = (rng.integers(0, 2, (rounds, n_feat)) * 2 - 1).astype(float)
+    noise = noise_sigma * rng.standard_normal(rounds)
+    values = np.where(present, signs, 0.0)
+    labels = np.clip(values[:, :n_signal] @ np.asarray(coeffs) + noise, -1.0, 1.0)
+    rows, cols = np.nonzero(present)
+    indptr = np.append(0, np.cumsum(np.count_nonzero(present, axis=1)))
+    return indptr, cols + 1, values[rows, cols], labels
+
+
+_CHUNK = ogboost.bench._ADDITIVE_CHUNK
+
+
+class TestAdditiveChunks:
+    """The chunked build gives the one-shot columns bit for bit."""
+
+    @staticmethod
+    def assert_one_shot(rounds, seed, **kw):
+        cols = make_additive_stream(rounds, seed, **kw).examples
+        ref = _additive_one_shot(rounds, seed, **kw)
+        for name, want in zip(("indptr", "ids", "values", "labels"), ref):
+            got = getattr(cols, name)
+            assert got.dtype == want.dtype and np.array_equal(got, want), (rounds, seed, name)
+            assert np.array_equal(np.signbit(got), np.signbit(want)), (rounds, seed, name)
+
+    # k * chunk + 1 rows end on a lone row, whose product numpy sums in another order
+    @pytest.mark.parametrize("rounds", [1, 2, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1,
+                                        8 * _CHUNK + 1, 50_000])
+    def test_default_stream_at_chunk_boundaries(self, rounds):
+        for seed in range(4):
+            self.assert_one_shot(rounds, seed)
+
+    @pytest.mark.parametrize("chunk", [16, 127])
+    def test_odd_draw_counts_carry_the_half_used_sign_word(self, chunk, monkeypatch):
+        # 9 features: an odd chunk or an odd T leaves a sign word half used
+        monkeypatch.setattr(ogboost.bench, "_ADDITIVE_CHUNK", chunk)
+        for rounds in (1, chunk - 1, chunk, chunk + 1, 3 * chunk + 1, 1001):
+            for seed in range(3):
+                self.assert_one_shot(rounds, seed, n_noise=4)
+
+    @pytest.mark.parametrize("kw", [
+        {"present_p": 0.25},
+        {"n_signal": 3, "n_noise": 6, "coeffs": (0.9, -0.7, 0.1), "noise_sigma": 0.5},
+        {"n_signal": 1, "n_noise": 0, "coeffs": (0.5,), "present_p": 0.95},
+        {"noise_sigma": 0.0},
+    ])
+    def test_non_default_parameters(self, kw):
+        for rounds in (_CHUNK + 1, 3 * _CHUNK + 1, 5_003):
+            for seed in (0, 7):
+                self.assert_one_shot(rounds, seed, **kw)
+
+    def test_build_transient_is_flat_in_rounds(self):
+        # peak minus held memory of the build; the one-shot build took about 286 B/row
+        make_additive_stream(100, seed=0)  # one-time allocations outside the count
+        for rounds in (16_000, 64_000):
+            tracemalloc.start()
+            try:
+                stream = make_additive_stream(rounds, seed=1)
+                held, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert len(stream) == rounds
+            assert peak - held <= 32 * rounds + 2**20, (rounds, (peak - held) / rounds)
+
+
 def _example_digest(stream) -> str:
     """sha256 over every example's (eid, ids in dict order, values, label)."""
     h = hashlib.sha256()

@@ -1,6 +1,7 @@
 """Numeric primitives: projection, clipping, inner products."""
 
 import math
+import zlib
 
 import numpy as np
 import pytest
@@ -127,3 +128,16 @@ class TestSeededRng:
         c = seeded_rng(42, "y").random(4)
         np.testing.assert_array_equal(a, b)
         assert not np.array_equal(a, c)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, -1])
+    @pytest.mark.parametrize("tags", [(), ("additive",), ("lbpool", 0), ("lbpool", 2**40),
+                                      ("planted", "planted_hull"), (-1, "x", 7)])
+    def test_stream_equals_seed_sequence_of_masked_words(self, seed, tags):
+        # the entropy is one masked 32-bit word per key, strings through crc32
+        words = [seed & 0xFFFFFFFF] + [
+            zlib.crc32(t.encode("utf-8")) if isinstance(t, str) else t & 0xFFFFFFFF for t in tags]
+        ref = np.random.Generator(np.random.PCG64(np.random.SeedSequence(words)))
+        rng = seeded_rng(seed, *tags)
+        assert rng.bit_generator.state == ref.bit_generator.state
+        np.testing.assert_array_equal(rng.random(8), ref.random(8))
+        np.testing.assert_array_equal(rng.integers(0, 2**62, 8), ref.integers(0, 2**62, 8))

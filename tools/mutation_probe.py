@@ -61,6 +61,12 @@ MUTATIONS = [
     Mutation("greedy adapter 2R -> R", "src/ogboost/learners.py",
              'math.sqrt(2.0 * r / denom) if regret_model == "sqrt" else 2.0 * r / denom',
              'math.sqrt(r / denom) if regret_model == "sqrt" else r / denom'),
+    Mutation("sign draws start one word early", "src/ogboost/bench.py",
+             "(0, 0, draws, draws + (draws + 1) // 2)",
+             "(0, 0, draws - 1, draws + (draws + 1) // 2)"),
+    Mutation("noise draws start one word early", "src/ogboost/bench.py",
+             "(0, 0, draws, draws + (draws + 1) // 2)",
+             "(0, 0, draws, draws + (draws + 1) // 2 - 1)"),
 ]
 
 _FAILED = re.compile(r"^(?:FAILED|ERROR) (\S+)", re.MULTILINE)
