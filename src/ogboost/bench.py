@@ -8,7 +8,7 @@ which each ``Example`` is built when it is read, so a stream holds 16
 bytes per nonzero and 16 per example rather than a dict per example.
 Sources are files (svmlight-style text or headered CSV, labels affinely
 rescaled into a declared range) or seeded synthetic generators, which
-check their columns once, vectorized:
+check their columns once, vectorized over chunks of rows:
 
 * planted span / convex-hull streams over a small region pool, used to
   check the boosters' regret bounds against a comparator with known
@@ -45,6 +45,9 @@ from .learners import FunctionPool, LowerBoundPool, make_lower_bound_pool
 
 class StreamFormatError(ValueError):
     pass
+
+
+_CHUNK_ROWS = 1024  # rows drawn or checked at a time by the generators and validate
 
 
 class ExampleColumns:
@@ -100,18 +103,21 @@ class ExampleColumns:
             kept = ex  # noqa: F841  the example before it is freed here, between rounds
 
     def validate(self) -> "ExampleColumns":
-        """Raise at the first example with a non-finite value or label or an explicit zero."""
-        lo = self.indptr[0]
-        v = self.values[lo:self.indptr[-1]]
-        bad_value = np.flatnonzero(~np.isfinite(v) | (v == 0.0))[:1] + lo
-        bad = np.concatenate((np.searchsorted(self.indptr, bad_value, side="right") - 1,
-                              np.flatnonzero(~np.isfinite(self.labels))[:1]))
-        if len(bad):
-            i = int(bad.min())
-            try:
-                self[i].validate()
-            except ValueError as e:
-                raise ValueError(f"example {self.first_eid + i}: {e}") from None
+        """Raise at the first example with a non-finite value or label or an explicit zero.
+
+        Rows are checked ``_CHUNK_ROWS`` at a time, so no temporary grows with T.
+        """
+        indptr, values, labels = self.indptr, self.values, self.labels
+        for lo in range(0, len(labels), _CHUNK_ROWS):
+            hi = min(lo + _CHUNK_ROWS, len(labels))
+            v = values[indptr[lo]:indptr[hi]]
+            if np.isfinite(v).all() and v.all() and np.isfinite(labels[lo:hi]).all():
+                continue
+            for i in range(lo, hi):  # the chunk holds a bad row; find the first
+                try:
+                    self[i].validate()
+                except ValueError as e:
+                    raise ValueError(f"example {self.first_eid + i}: {e}") from None
         return self
 
 
@@ -388,16 +394,15 @@ def write_stream(stream: Stream, path: str | Path, fmt: str = "libsvm") -> None:
 # ---------------------------------------------------------------------------
 # synthetic pools and streams
 
-_REGION_FID = 0
-_VALUE_FID = 1
+_REGION_FID, _VALUE_FID = 0, 1
 
 
 class RegionPool(FunctionPool):
-    """Pool of functions with disjoint supports.
+    """Pool of functions with disjoint supports, read from an example's id and value arrays.
 
-    Member k responds with the example's value feature on region k and 0
-    elsewhere, so any weighting of members keeps labels within the largest
-    single weight.
+    Member k responds with the value feature (id 1) where the region feature
+    (id 0) equals k, and 0 elsewhere, so any weighting of members keeps
+    labels within the largest single weight.
     """
 
     def __init__(self, n_members: int = 8):
@@ -409,18 +414,12 @@ class RegionPool(FunctionPool):
 
     def _evaluate(self, x: Example) -> np.ndarray:
         vals = np.zeros(self.n_members)
-        region = x.features.get(_REGION_FID, 0.0)
+        ids, values = x.ids.tolist(), x.values.tolist()
+        region = values[ids.index(_REGION_FID)] if _REGION_FID in ids else 0.0
         # only an integral region 1..n selects a member (NaN fails both comparisons)
         if 1.0 <= region <= self.n_members and region == int(region):
-            vals[int(region) - 1] = x.features.get(_VALUE_FID, 0.0)
+            vals[int(region) - 1] = values[ids.index(_VALUE_FID)] if _VALUE_FID in ids else 0.0
         return vals
-
-    def sample_example(self, rng: np.random.Generator, eid: int) -> Example:
-        region = int(rng.integers(1, self.n_members + 1))
-        v = float(rng.uniform(-1.0, 1.0))
-        if v == 0.0:
-            v = 0.5
-        return Example({_REGION_FID: float(region), _VALUE_FID: v}, label=None, eid=eid)
 
 
 def make_region_pool(n_members: int = 8) -> RegionPool:
@@ -428,41 +427,48 @@ def make_region_pool(n_members: int = 8) -> RegionPool:
 
 
 def _planted_stream(pool: RegionPool, weights: np.ndarray, noise_sigma: float, rounds: int,
-                    seed: int, loss_class: LossClass, kind: str) -> tuple[Stream, ComparatorSpec]:
+                    seed: int, loss_class: LossClass | None, kind: str
+                    ) -> tuple[Stream, ComparatorSpec]:
+    """Rows {0: region, 1: value} labeled ``weights @ pool.values(x)`` plus clipped noise.
+
+    Row t draws from ``seeded_rng(seed, "planted", kind)`` its region in 1..n, its value
+    in [-1, 1) (0.0 becomes 0.5) and, if ``noise_sigma > 0``, one standard normal; a few
+    float operations on these are written straight into the columns.
+    """
     weights = np.asarray(weights, dtype=float)
     if len(weights) != len(pool):
         raise ValueError("one weight per pool member required")
     if not np.all(np.isfinite(weights)):
         raise ValueError("planted coefficients must be finite")
     rng = seeded_rng(seed, "planted", kind)
+    n, w, noisy = len(pool), weights.tolist(), noise_sigma > 0
+    loss_class = loss_class or LossClass("squared")
     lo, hi = loss_class.label_range
-    feats = np.empty((rounds, 2))  # each example's (region, value) features
-    labels = np.empty(rounds)
-    comp_values = np.empty(rounds)
+    values, labels, comp_values = np.empty(2 * rounds), np.empty(rounds), np.empty(rounds)
+    feats, label_col, comp_col = memoryview(values), memoryview(labels), memoryview(comp_values)
     for t in range(rounds):
-        ex = pool.sample_example(rng, t)
-        feats[t] = ex.features[_REGION_FID], ex.features[_VALUE_FID]
-        vals = pool.values(ex)
-        f_val = float(weights @ vals)
-        comp_values[t] = f_val
-        label = f_val
-        if noise_sigma > 0:
-            label += noise_sigma * float(rng.standard_normal())
-        labels[t] = min(max(label, lo), hi)
+        region = int(rng.integers(1, n + 1))
+        v = float(rng.uniform(-1.0, 1.0))
+        if v == 0.0:
+            v = 0.5
+        feats[2 * t], feats[2 * t + 1] = region, v
+        # weights @ pool.values(x): the row's single nonzero term, and the sum's
+        # +0.0 start, which turns a zero product into +0.0 (RegionPool._evaluate)
+        f = w[region - 1] * v + 0.0
+        comp_col[t] = f
+        label = f + noise_sigma * float(rng.standard_normal()) if noisy else f
+        label_col[t] = min(max(label, lo), hi)
     columns = ExampleColumns(np.arange(0, 2 * rounds + 1, 2),
-                             np.tile([_REGION_FID, _VALUE_FID], rounds), feats.ravel(), labels)
-    norm1 = max(1.0, float(np.abs(weights).sum()))
-    comp = ComparatorSpec(kind, comp_values, weights, norm1)
-    stream = Stream(columns.validate(), loss_class, source=f"synthetic:{kind}",
-                    meta={"seed": seed, "noise_sigma": noise_sigma})
-    return stream, comp
+                             np.tile([_REGION_FID, _VALUE_FID], rounds), values, labels)
+    return (Stream(columns.validate(), loss_class, source=f"synthetic:{kind}",
+                   meta={"seed": seed, "noise_sigma": noise_sigma}),
+            ComparatorSpec(kind, comp_values, weights, max(1.0, float(np.abs(weights).sum()))))
 
 
 def planted_span_stream(pool: RegionPool, weights, noise_sigma: float, rounds: int, seed: int,
                         loss_class: LossClass | None = None) -> tuple[Stream, ComparatorSpec]:
     """Stream whose labels are a known linear combination of pool members."""
-    lc = loss_class or LossClass("squared")
-    return _planted_stream(pool, weights, noise_sigma, rounds, seed, lc, "planted_span")
+    return _planted_stream(pool, weights, noise_sigma, rounds, seed, loss_class, "planted_span")
 
 
 def planted_hull_stream(pool: RegionPool, weights, noise_sigma: float, rounds: int, seed: int,
@@ -471,12 +477,7 @@ def planted_hull_stream(pool: RegionPool, weights, noise_sigma: float, rounds: i
     weights = np.asarray(weights, dtype=float)
     if np.any(weights < 0) or abs(weights.sum() - 1.0) > 1e-9:
         raise ValueError("hull coefficients must be a probability vector")
-    lc = loss_class or LossClass("squared")
-    stream, comp = _planted_stream(pool, weights, noise_sigma, rounds, seed, lc, "planted_hull")
-    return stream, comp
-
-
-_ADDITIVE_CHUNK = 1024  # rows drawn at a time by make_additive_stream
+    return _planted_stream(pool, weights, noise_sigma, rounds, seed, loss_class, "planted_hull")
 
 
 def make_additive_stream(rounds: int, seed: int, n_signal: int = 5, n_noise: int = 5,
@@ -499,13 +500,13 @@ def make_additive_stream(rounds: int, seed: int, n_signal: int = 5, n_noise: int
     for rng, start in zip(rngs, (0, 0, draws, draws + (draws + 1) // 2)):
         rng.bit_generator.advance(start)
     # numpy sums a one-row product in another order, so a lone last row joins the chunk before it
-    bounds = [*range(0, max(rounds - 1, 1), _ADDITIVE_CHUNK), rounds]
+    bounds = [*range(0, max(rounds - 1, 1), _CHUNK_ROWS), rounds]
     indptr = np.zeros(rounds + 1, dtype=np.int64)
     for lo, hi in zip(bounds, bounds[1:]):
         indptr[lo + 1:hi + 1] = np.count_nonzero(counts.random((hi - lo, n_feat)) < present_p, 1)
     np.cumsum(indptr, out=indptr)
     ids, values, labels = np.empty(indptr[-1], np.int64), np.empty(indptr[-1]), np.empty(rounds)
-    row_ids = np.tile(np.arange(1, n_feat + 1), _ADDITIVE_CHUNK + 1)  # each row's ids, ascending
+    row_ids = np.tile(np.arange(1, n_feat + 1), _CHUNK_ROWS + 1)  # each row's ids, ascending
     for lo, hi in zip(bounds, bounds[1:]):
         present = presence.random((hi - lo, n_feat)) < present_p
         vals = np.where(present, (signs.integers(0, 2, present.shape) * 2 - 1).astype(float), 0.0)

@@ -160,12 +160,8 @@ def build_stream(cfg: RunConfig):
         return stream, None, None
     pool = bench.make_region_pool(cfg.pool_size)
     w = _planted_weights(kind, cfg.pool_size, cfg.norm1, cfg.seed)
-    if kind == "planted-hull":
-        stream, comp = bench.planted_hull_stream(pool, w, cfg.noise, cfg.rounds, cfg.seed,
-                                                 loss_class)
-    else:
-        stream, comp = bench.planted_span_stream(pool, w, cfg.noise, cfg.rounds, cfg.seed,
-                                                 loss_class)
+    build = bench.planted_hull_stream if kind == "planted-hull" else bench.planted_span_stream
+    stream, comp = build(pool, w, cfg.noise, cfg.rounds, cfg.seed, loss_class)
     return stream, comp, pool
 
 

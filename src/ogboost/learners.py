@@ -120,7 +120,10 @@ class _SymmetrizedPool(FunctionPool):
 
     def _evaluate(self, x: Example) -> np.ndarray:
         v = self._base.values(x)
-        return np.concatenate(([0.0], v, -v))
+        out = np.zeros(2 * len(v) + 1)
+        out[1:len(v) + 1] = v
+        np.negative(v, out=out[len(v) + 1:])
+        return out
 
 
 class LowerBoundPool(FunctionPool):

@@ -323,6 +323,79 @@ class TestPlantedStreams:
         assert s.labels.min() >= -1.0 and s.labels.max() <= 1.0
 
 
+def _planted_per_row(pool, weights, noise_sigma, rounds, seed, kind):
+    """The planted columns built one dict ``Example`` and one pool sweep per row: the reference."""
+    weights = np.asarray(weights, dtype=float)
+    rng = ogboost.bench.seeded_rng(seed, "planted", kind)
+    lo, hi = LossClass("squared").label_range
+    feats, labels, comp_values = np.empty((rounds, 2)), np.empty(rounds), np.empty(rounds)
+    for t in range(rounds):
+        region = int(rng.integers(1, len(pool) + 1))
+        v = float(rng.uniform(-1.0, 1.0))
+        if v == 0.0:
+            v = 0.5
+        ex = Example({0: float(region), 1: v}, label=None, eid=t)
+        feats[t] = ex.features[0], ex.features[1]
+        f_val = float(weights @ pool.values(ex))
+        comp_values[t] = f_val
+        label = f_val
+        if noise_sigma > 0:
+            label += noise_sigma * float(rng.standard_normal())
+        labels[t] = min(max(label, lo), hi)
+    return (np.arange(0, 2 * rounds + 1, 2), np.tile([0, 1], rounds), feats.ravel(), labels,
+            comp_values)
+
+
+def _planted_configs(kind, count=60):
+    """Pools of 1-9 members, weights with exact 0.0 and -0.0 entries, three noise levels."""
+    rng = np.random.default_rng(2015 if kind == "planted_span" else 2016)
+    # a zero weight without noise is the one place a -0.0 product shows in the labels
+    configs = [([0.5, -0.0, 0.0, 0.5], 0.0, 333), ([-0.0, 1.0, 0.0], 0.0, 333)]
+    for _ in range(count):
+        m = int(rng.integers(1, 10))
+        if kind == "planted_span":
+            w = rng.uniform(-1.5, 1.5, m)
+        else:
+            w = rng.dirichlet(np.ones(m))
+        w[rng.random(m) < 0.25] = 0.0
+        w[(w == 0.0) & (rng.random(m) < 0.5)] = -0.0
+        if kind == "planted_hull":
+            w[np.argmax(w)] += 1.0 - w.sum()
+        configs.append((w.tolist(), float(rng.choice([0.0, 0.01, 0.5])),
+                        int(rng.choice([0, 1, 2, 333]))))
+    return configs
+
+
+class TestPlantedBuild:
+    """The planted build gives the per-row reference's bytes, sign bits included."""
+
+    @pytest.mark.parametrize("kind", ["planted_span", "planted_hull"])
+    def test_columns_and_comparator_equal_the_per_row_build(self, kind):
+        build = planted_span_stream if kind == "planted_span" else planted_hull_stream
+        for i, (w, sigma, rounds) in enumerate(_planted_configs(kind)):
+            pool = make_region_pool(len(w))
+            stream, comp = build(pool, w, sigma, rounds, seed=i)
+            cols = stream.examples
+            got = (cols.indptr, cols.ids, cols.values, cols.labels, comp.values)
+            ref = _planted_per_row(make_region_pool(len(w)), w, sigma, rounds, i, kind)
+            for name, g, r in zip(("indptr", "ids", "values", "labels", "comparator"), got, ref):
+                assert g.dtype == r.dtype and g.tobytes() == r.tobytes(), (kind, i, w, sigma, name)
+
+    def test_build_transient_is_at_most_16_bytes_per_row(self):
+        # peak minus held memory of the build: no whole-stream temporaries
+        pool, w = make_region_pool(8), np.full(8, 0.125)
+        planted_hull_stream(pool, w, 0.01, 100, seed=0)  # one-time allocations outside the count
+        for rounds in (16_000, 64_000):
+            tracemalloc.start()
+            try:
+                stream, _ = planted_hull_stream(pool, w, 0.01, rounds, seed=1)
+                held, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert len(stream) == rounds
+            assert peak - held <= 16 * rounds + 2**20, (rounds, (peak - held) / rounds)
+
+
 def _additive_one_shot(rounds, seed, n_signal=5, n_noise=5, coeffs=(0.3, 0.25, 0.2, 0.15, 0.1),
                        present_p=0.6, noise_sigma=0.05):
     """The additive columns drawn in one shot from one generator: the reference."""
@@ -338,7 +411,7 @@ def _additive_one_shot(rounds, seed, n_signal=5, n_noise=5, coeffs=(0.3, 0.25, 0
     return indptr, cols + 1, values[rows, cols], labels
 
 
-_CHUNK = ogboost.bench._ADDITIVE_CHUNK
+_CHUNK = ogboost.bench._CHUNK_ROWS
 
 
 class TestAdditiveChunks:
@@ -363,7 +436,7 @@ class TestAdditiveChunks:
     @pytest.mark.parametrize("chunk", [16, 127])
     def test_odd_draw_counts_carry_the_half_used_sign_word(self, chunk, monkeypatch):
         # 9 features: an odd chunk or an odd T leaves a sign word half used
-        monkeypatch.setattr(ogboost.bench, "_ADDITIVE_CHUNK", chunk)
+        monkeypatch.setattr(ogboost.bench, "_CHUNK_ROWS", chunk)
         for rounds in (1, chunk - 1, chunk, chunk + 1, 3 * chunk + 1, 1001):
             for seed in range(3):
                 self.assert_one_shot(rounds, seed, n_noise=4)
@@ -519,6 +592,45 @@ class TestStreamContents:
             ExampleColumns(**cols).validate()
         cols[column][i] = 1.0
         ExampleColumns(**cols).validate()
+
+    @pytest.mark.parametrize("bad", [[0], [1017, 1100], [1023], [1024], [1025, 1024],
+                                     [2100, 3000], [3071]])
+    def test_columns_validate_in_chunks_names_the_first_bad_example(self, bad):
+        # three values per row, one row in ten empty; the message is the first bad row's own
+        rows = 3 * ogboost.bench._CHUNK_ROWS
+        widths = np.where(np.arange(rows) % 10 == 7, 0, 3)
+        indptr = np.append(0, np.cumsum(widths))
+        ids = np.tile([4, 2, 9], rows)[:indptr[-1]]
+        values, labels = np.full(indptr[-1], 0.5), np.full(rows, 0.25)
+        for k, i in enumerate(bad):
+            if widths[i] and k % 2 == 0:
+                values[indptr[i] + 1] = [math.nan, 0.0, math.inf][i % 3]
+            else:
+                labels[i] = -math.inf
+        cols = ExampleColumns(indptr, ids, values, labels)
+        # a slice keeps its rows' eids and starts mid-column
+        for view, lo in ((cols, 0), (cols[2:], 2)):
+            first = min((i for i in bad if i >= lo), default=None)
+            if first is None:
+                view.validate()
+                continue
+            with pytest.raises(ValueError) as row_error:
+                cols[first].validate()
+            with pytest.raises(ValueError, match=re.escape(f"example {first}: {row_error.value}")):
+                view.validate()
+
+    def test_columns_validate_transient_is_flat_in_rounds(self):
+        # the check's own peak memory; the whole-column check took 12 B/row at T = 128k
+        for rounds in (16_000, 128_000):
+            cols = ExampleColumns(np.arange(0, 6 * rounds + 1, 6), np.tile(np.arange(6), rounds),
+                                  np.full(6 * rounds, 0.5), np.full(rounds, 0.25))
+            tracemalloc.start()
+            try:
+                cols.validate()
+                held, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak - held <= 2**19, (rounds, peak - held)
 
     def test_generators_validate_their_columns(self):
         with pytest.raises(ValueError, match="example 0: non-finite label: nan"):

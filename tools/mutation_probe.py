@@ -67,6 +67,12 @@ MUTATIONS = [
     Mutation("noise draws start one word early", "src/ogboost/bench.py",
              "(0, 0, draws, draws + (draws + 1) // 2)",
              "(0, 0, draws, draws + (draws + 1) // 2 - 1)"),
+    Mutation("planted comparator without the + 0.0", "src/ogboost/bench.py",
+             "f = w[region - 1] * v + 0.0", "f = w[region - 1] * v"),
+    Mutation("planted member index off by one", "src/ogboost/bench.py",
+             "f = w[region - 1] * v + 0.0", "f = w[region % n] * v + 0.0"),
+    Mutation("planted noise drawn when sigma is 0", "src/ogboost/bench.py",
+             "weights.tolist(), noise_sigma > 0", "weights.tolist(), noise_sigma >= 0"),
 ]
 
 _FAILED = re.compile(r"^(?:FAILED|ERROR) (\S+)", re.MULTILINE)
