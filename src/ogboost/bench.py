@@ -47,7 +47,7 @@ class StreamFormatError(ValueError):
     pass
 
 
-_CHUNK_ROWS = 1024  # rows drawn or checked at a time by the generators and validate
+_CHUNK_ROWS = 1024  # rows the additive build draws, and validate checks, at a time
 
 
 class ExampleColumns:
