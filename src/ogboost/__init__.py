@@ -47,7 +47,6 @@ from .bench import (
     regret_report,
     span_regret_bound,
     uniform_pool_comparator,
-    write_stream,
     zero_comparator,
 )
 

@@ -218,7 +218,6 @@ class BatchTrace:
     delta0: float
     deltas: np.ndarray = field(default_factory=lambda: np.array([]))
     s: np.ndarray = field(default_factory=lambda: np.array([]))
-    sigmas: np.ndarray = field(default_factory=lambda: np.array([]))
     bound: np.ndarray = field(default_factory=lambda: np.array([]))
 
     def first_crossing(self, threshold: float) -> int | None:
@@ -234,35 +233,24 @@ def run_batch(objective: BatchObjective, dictionary: FunctionDictionary,
 
     ``comparator_values`` are the planted comparator's values on the batch
     points and ``norm1`` its declared 1-norm; the optimization error at
-    stage i is ell(f_i) - ell(comparator).  ``variant`` is "ungated"
-    (alias "zy") or "gated".
+    stage i is ell(f_i) - ell(comparator).  ``variant`` is "ungated" or
+    "gated".
     """
-    if variant == "zy":
-        variant = "ungated"
-    if variant not in ("ungated", "gated"):
+    rules = {"ungated": (ungated_step, bound_ungated), "gated": (gated_step, bound_gated)}
+    if variant not in rules:
         raise ValueError(f"unknown variant {variant!r} (choose ungated or gated)")
+    step, bound = rules[variant]
     etas = np.asarray(list(schedule), dtype=float)
-    n = len(etas)
     comp_loss = objective.value(np.asarray(comparator_values, dtype=float))
 
     it = BatchIterate.zero(dictionary)
     delta0 = objective.value(it.values) - comp_loss
-    deltas = np.empty(n)
-    sigmas = np.empty(n)
-    svals = np.empty(n + 1)
+    deltas = np.empty(len(etas))
+    svals = np.empty(len(etas) + 1)
     svals[0] = it.s
     for i, eta in enumerate(etas):
-        if variant == "gated":
-            sigmas[i] = 1.0 if objective.grad_pairing(it.values, it.values) >= 0.0 else 0.0
-            it = gated_step(objective, dictionary, it, float(eta))
-        else:
-            sigmas[i] = 0.0
-            it = ungated_step(objective, dictionary, it, float(eta))
+        it = step(objective, dictionary, it, float(eta))
         svals[i + 1] = it.s
         deltas[i] = objective.value(it.values) - comp_loss
-
-    if variant == "gated":
-        bound = bound_gated(delta0, svals, etas, norm1, objective.smoothness)
-    else:
-        bound = bound_ungated(delta0, svals, etas, norm1, objective.smoothness)
-    return BatchTrace(variant, delta0, deltas, svals, sigmas, bound)
+    return BatchTrace(variant, delta0, deltas, svals,
+                      bound(delta0, svals, etas, norm1, objective.smoothness))

@@ -301,7 +301,6 @@ def parse_stream(path: str | Path, fmt: str, label_range: tuple[float, float] = 
 
     labels: list[float] = []
     ids, values, indptr = array("q"), array("d"), array("q", [0])
-    names: list[str] = []
 
     def append(ln: int, label: float, keys: list[int], vals: list[float]) -> None:
         try:
@@ -321,8 +320,7 @@ def parse_stream(path: str | Path, fmt: str, label_range: tuple[float, float] = 
                 if not first.strip() and not any(line.strip() for _, line in lines):
                     raise StreamFormatError(f"{path}: empty file")
                 raise StreamFormatError(f"{path}:1: csv header must start with 'label'")
-            names = [h.strip() for h in header[1:]]
-            fids = [feature_id(n) for n in names]
+            fids = [feature_id(h.strip()) for h in header[1:]]
             for ln, line in lines:
                 if not line.strip():
                     continue
@@ -364,31 +362,7 @@ def parse_stream(path: str | Path, fmt: str, label_range: tuple[float, float] = 
     columns = ExampleColumns(np.frombuffer(indptr, np.int64), np.frombuffer(ids, np.int64),
                              np.frombuffer(values, np.float64), labels)
     return Stream(columns, loss_class, source=str(path),
-                  meta={"format": fmt, "label_range": label_range, "names": names})
-
-
-def write_stream(stream: Stream, path: str | Path, fmt: str = "libsvm") -> None:
-    """Serialize a stream back to disk (full float precision)."""
-    path = Path(path)
-    out: list[str] = []
-    if fmt == "libsvm":
-        for ex in stream.examples:
-            # float() first: numpy 2 scalars repr as np.float64(...)
-            pairs = " ".join(f"{k}:{float(v)!r}" for k, v in sorted(ex.features.items()))
-            out.append(f"{float(ex.label)!r} {pairs}".strip())
-    elif fmt == "csv":
-        names = stream.meta.get("names")
-        if not names:
-            raise StreamFormatError("csv serialization needs column names in stream meta")
-        ids = [feature_id(n) for n in names]
-        out.append("label," + ",".join(names))
-        for ex in stream.examples:
-            row = [repr(float(ex.label))] + [repr(float(ex.features.get(fid, 0.0)))
-                                             for fid in ids]
-            out.append(",".join(row))
-    else:
-        raise StreamFormatError(f"unknown format {fmt!r}")
-    path.write_text("\n".join(out) + "\n")
+                  meta={"format": fmt, "label_range": label_range})
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,7 @@ import math
 from dataclasses import dataclass
 
 from .core import Example, Vector, clip_unit_interval, project_to_ball, vdot
-from .losses import LossClass, LossInstance
+from .losses import LossClass, LossInstance, _check_eta
 
 
 def auto_eta(stages: int) -> float:
@@ -132,8 +132,7 @@ class SpanBooster(_BoosterBase):
         super().__init__(learners)
         n = self.stages
         self.eta = auto_eta(n) if eta is None else float(eta)
-        if not (1.0 / n - 1e-12 <= self.eta <= 1.0 + 1e-12):
-            raise ValueError(f"eta must lie in [1/N, 1] = [{1.0 / n:.6g}, 1], got {self.eta}")
+        _check_eta(self.eta, n)
         self.loss_class = loss_class
         self.output_bound = output_bound
         self.deterministic_mode = deterministic_mode

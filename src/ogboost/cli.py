@@ -41,6 +41,37 @@ EXIT_BOUNDS = 4
 
 _LABEL_RANGES = {"pm1": (-1.0, 1.0), "01": (0.0, 1.0)}
 
+# flag attribute -> (test of a valid value, what the message says it must be);
+# an ordered comparison is false for NaN, so the ranges reject it too
+_FLAG_RULES = {
+    "stages": (lambda v: v >= 1, "be >= 1"),
+    "rounds": (lambda v: v is None or v >= 1, "be >= 1"),  # lower-bound's default is None
+    "seeds": (lambda v: v >= 1, "be >= 1"),
+    "atoms": (lambda v: v >= 3, "be >= 3"),
+    "pool_size": (lambda v: 1 <= v <= 64, "lie in [1, 64]"),
+    "scale": (lambda v: 1.0 <= v < math.inf, "be finite and >= 1"),
+    "lr": (lambda v: 0.0 < v < math.inf, "be finite and > 0"),
+    "noise": (lambda v: 0.0 <= v < math.inf, "be finite and >= 0"),
+    "norm1": (lambda v: 0.0 < v < math.inf, "be finite and > 0"),
+    "magnet_junk": (math.isfinite, "be finite"),
+    "split": (lambda v: 0.0 <= v <= 1.0, "lie in [0, 1]"),
+    "step_size": (lambda v: 0.0 <= v <= 1.0, "lie in [0, 1]"),
+    "scale_c": (lambda v: 0.0 < v <= 1.0, "lie in (0, 1]"),
+}
+
+
+def _flag_errors(args, *names: str) -> list[str]:
+    """A message for each named flag outside its ``_FLAG_RULES`` range."""
+    return [f"--{name.replace('_', '-')} must {_FLAG_RULES[name][1]}, got {getattr(args, name)}"
+            for name in names if not _FLAG_RULES[name][0](getattr(args, name))]
+
+
+def _check_flags(args, *names: str) -> None:
+    """Reject each named flag outside its ``_FLAG_RULES`` range as a configuration error."""
+    errs = _flag_errors(args, *names)
+    if errs:
+        raise ConfigError(errs)
+
 
 @dataclass
 class RunConfig:
@@ -70,11 +101,10 @@ class RunConfig:
     assert_bounds: bool = False
 
     def validate(self) -> list[str]:
-        errs = []
+        errs = _flag_errors(self, "stages", "rounds", "pool_size", "scale", "lr", "noise",
+                            "norm1", "split")
         if self.algo not in ("span", "ch"):
             errs.append(f"--algo must be span or ch, got {self.algo!r}")
-        if self.stages < 1:
-            errs.append(f"--stages must be >= 1, got {self.stages}")
         if self.eta != "auto":
             try:
                 eta = float(self.eta)
@@ -96,14 +126,6 @@ class RunConfig:
                 self.data is not None or self.synthetic == "additive"):
             errs.append(f"--base {self.base} requires a synthetic pool stream: --synthetic "
                         "planted, planted-span or planted-hull, without --data")
-        if not (math.isfinite(self.scale) and self.scale >= 1.0):
-            errs.append(f"--scale must be finite and >= 1, got {self.scale}")
-        if not (math.isfinite(self.lr) and self.lr > 0.0):
-            errs.append(f"--lr must be finite and > 0, got {self.lr}")
-        if not (math.isfinite(self.noise) and self.noise >= 0.0):
-            errs.append(f"--noise must be finite and >= 0, got {self.noise}")
-        if not (math.isfinite(self.norm1) and self.norm1 > 0.0):
-            errs.append(f"--norm1 must be finite and > 0, got {self.norm1}")
         if self.base == "greedy" and (self.symmetrize or self.scale > 1.0):
             errs.append("--base greedy cannot be combined with --symmetrize or --scale")
         if self.symmetrize and self.base == "hedge-pool":
@@ -119,12 +141,6 @@ class RunConfig:
                 "planted", "planted-span", "planted-hull", "additive"):
             errs.append(f"--synthetic must be planted, planted-span, planted-hull or additive, "
                         f"got {self.synthetic!r}")
-        if self.rounds < 1:
-            errs.append(f"--rounds must be >= 1, got {self.rounds}")
-        if not (0.0 <= self.split <= 1.0):
-            errs.append(f"--split must lie in [0, 1], got {self.split}")
-        if self.pool_size < 1 or self.pool_size > 64:
-            errs.append(f"--pool-size must lie in [1, 64], got {self.pool_size}")
         return errs
 
 
@@ -165,7 +181,7 @@ def build_stream(cfg: RunConfig):
     return stream, comp, pool
 
 
-def build_learners(cfg: RunConfig, stream, pool, loss_class):
+def build_learners(cfg: RunConfig, stream, pool):
     """Stage committee plus the accounting committee pool (may be None)."""
     n = cfg.stages
     horizon = len(stream)
@@ -179,15 +195,8 @@ def build_learners(cfg: RunConfig, stream, pool, loss_class):
     elif cfg.base == "hedge-pool":  # validate() gives hedge-pool and greedy a pool stream
         committee = pool.symmetrized()
         stage = learners.hedge_committee(committee, n, horizon, seed=cfg.seed)
-    else:  # greedy
-        if cfg.algo == "span":
-            eta = boosting.auto_eta(n) if cfg.eta == "auto" else float(cfg.eta)
-            offset_bound = loss_class.solve_ball_radius(eta, n, 1.0)
-        else:
-            offset_bound = 1.0
-        params = loss_class.ball_params(offset_bound + 1.0)  # offsets plus unit step reach
-        stage = learners.greedy_adapter(learners.GreedyFitLearner(pool.symmetrized(), n),
-                                        horizon, params, offset_bound=offset_bound)
+    else:  # greedy; execute_run fixes its step size once the booster's ball is known
+        stage = learners.GreedyFitLearner(pool.symmetrized(), n)
     if cfg.scale > 1.0:
         stage = boosting.scale_wrap(stage, cfg.scale)
     return stage, committee
@@ -195,14 +204,18 @@ def build_learners(cfg: RunConfig, stream, pool, loss_class):
 
 def execute_run(cfg: RunConfig) -> dict:
     stream, comp, pool = build_stream(cfg)
-    stage, committee = build_learners(cfg, stream, pool, stream.loss_class)
+    stage, committee = build_learners(cfg, stream, pool)
     eta = None if cfg.eta == "auto" else float(cfg.eta)
-    output_bound = cfg.scale  # D = 1 scaled up by the wrapper
+    output_bound = stage.output_bound
     if cfg.algo == "span":
         booster = boosting.SpanBooster(stream.loss_class, stage, eta, output_bound,
                                        deterministic_mode=cfg.corollary_mode)
     else:
         booster = boosting.HullBooster(stream.loss_class, stage, output_bound)
+    if cfg.base == "greedy":  # the offsets are partial sums, which stay in the booster's ball
+        offset_bound = booster.radius if cfg.algo == "span" else output_bound
+        params = stream.loss_class.ball_params(offset_bound + 1.0)  # plus a unit step's reach
+        learners.greedy_adapter(stage, len(stream), params, offset_bound)
     metrics = bench.progressive_validate(stream, booster, cfg.split, comparator=comp,
                                          committee=committee)
 
@@ -264,27 +277,6 @@ def _write_run_tsv(path: Path, metrics: bench.RunMetrics) -> None:
 # subcommand: batch-compare
 
 
-# flag attribute -> (test of a valid value, what the message says it must be);
-# an ordered comparison is false for NaN, so the ranges reject it too
-_FLAG_RULES = {
-    "stages": (lambda v: v >= 1, "be >= 1"),
-    "seeds": (lambda v: v >= 1, "be >= 1"),
-    "atoms": (lambda v: v >= 3, "be >= 3"),
-    "norm1": (lambda v: 0.0 < v < math.inf, "be finite and > 0"),
-    "magnet_junk": (math.isfinite, "be finite"),
-    "step_size": (lambda v: 0.0 <= v <= 1.0, "lie in [0, 1]"),
-    "scale_c": (lambda v: 0.0 < v <= 1.0, "lie in (0, 1]"),
-}
-
-
-def _check_flags(args, *names: str) -> None:
-    """Reject each named flag outside its ``_FLAG_RULES`` range as a configuration error."""
-    errs = [f"--{name.replace('_', '-')} must {_FLAG_RULES[name][1]}, got {getattr(args, name)}"
-            for name in names if not _FLAG_RULES[name][0](getattr(args, name))]
-    if errs:
-        raise ConfigError(errs)
-
-
 def execute_batch_compare(args) -> dict:
     _check_flags(args, "stages", "atoms", "norm1", "magnet_junk", "step_size")
     objective, dictionary, comp_values, norm1 = batch_mod.make_planted_batch_problem(
@@ -343,7 +335,7 @@ def lower_bound_once(stages: int, seed: int, pool_scale: float, rounds: int | No
 
 def execute_lower_bound(args) -> dict:
     _check_flags(args, "stages", "seeds", "scale_c")
-    m = int(round(args.stages / args.scale_c))  # the pool size make_lower_bound_pool builds
+    m = learners.make_lower_bound_pool(args.stages, args.seed, args.scale_c).size
     if args.rounds is not None and args.rounds < 12 * m:
         raise ConfigError([f"--rounds must be >= 12*M = {12 * m} for pool size M = {m}, "
                            f"got {args.rounds}"])

@@ -261,60 +261,36 @@ class StumpLearner:
     Prediction uses the present feature with the lowest cumulative linear
     loss so far (ties to the lowest feature id); with no features present
     the prediction is 0.  Each present feature takes its own projected
-    gradient step on every update.
-
-    Per-feature state lives in one slot list [weight, cum_loss, steps,
-    max_abs_value] to keep the per-round work to a single dict hit per
-    feature; ``w`` and ``cum_loss`` are diagnostic views.
+    gradient step on every update.  The state is four dicts keyed by
+    feature id: weight ``w``, cumulative linear loss ``cum_loss``, step
+    count ``steps`` and ``vmax``, the largest absolute value seen (1e-12
+    until a larger one is).
     """
 
-    _W, _CUM, _T, _G = 0, 1, 2, 3
     deterministic = True
 
     def __init__(self, output_bound: float = 1.0, lr_scale: float = 1.0):
         self.output_bound = output_bound
         self.lr_scale = lr_scale
-        self._state: dict[int, list] = {}
-
-    @property
-    def w(self) -> dict[int, float]:
-        return {k: st[self._W] for k, st in self._state.items()}
-
-    @w.setter
-    def w(self, values: dict[int, float]) -> None:
-        for k, v in values.items():
-            self._slot(k)[self._W] = v
-
-    @property
-    def cum_loss(self) -> dict[int, float]:
-        return {k: st[self._CUM] for k, st in self._state.items()}
-
-    @cum_loss.setter
-    def cum_loss(self, values: dict[int, float]) -> None:
-        for k, v in values.items():
-            self._slot(k)[self._CUM] = v
-
-    def _slot(self, k: int) -> list:
-        st = self._state.get(k)
-        if st is None:
-            st = self._state[k] = [0.0, 0.0, 0, 1e-12]
-        return st
+        self.w: dict[int, float] = {}
+        self.cum_loss: dict[int, float] = {}
+        self.steps: dict[int, int] = {}
+        self.vmax: dict[int, float] = {}
 
     def predict(self, x: Example) -> float:
         feats = x.features
         if not feats:
             return 0.0
-        state = self._state
-        best_k = None
+        cum = self.cum_loss
+        best = None
         best_loss = math.inf
         for k in feats:
-            st = state.get(k)
-            c = st[1] if st is not None else 0.0
-            if c < best_loss or (c == best_loss and (best_k is None or k < best_k)):
+            c = cum.get(k, 0.0)
+            if c < best_loss or (c == best_loss and (best is None or k < best)):
                 best_loss = c
-                best_k = k
-        st = state.get(best_k)
-        s = st[0] * feats[best_k] if st is not None else 0.0
+                best = k
+        wk = self.w.get(best)
+        s = wk * feats[best] if wk is not None else 0.0
         D = self.output_bound
         if s > D:
             return D
@@ -326,34 +302,29 @@ class StumpLearner:
         g = _check_feedback(fb)
         D = self.output_bound
         step_scale = self.lr_scale * D
-        state = self._state
+        w, cum, steps, vmax = self.w, self.cum_loss, self.steps, self.vmax
         sqrt = math.sqrt
         for k, v in x.features.items():
-            st = state.get(k)
-            if st is None:
-                st = state[k] = [0.0, 0.0, 0, 1e-12]
-            w = st[0]
-            pred = w * v
+            wk = w.get(k, 0.0)
+            pred = wk * v
             if pred > D:
                 pred = D
             elif pred < -D:
                 pred = -D
-            st[1] += g * pred
-            t = st[2] + 1
-            st[2] = t
-            gm = st[3]
+            cum[k] = cum.get(k, 0.0) + g * pred
+            t = steps[k] = steps.get(k, 0) + 1
+            gm = vmax.get(k, 1e-12)
             a = v if v >= 0.0 else -v
             if a > gm:
-                gm = a
-                st[3] = a
-            new = w - (step_scale / (gm * sqrt(t))) * g * v
+                gm = vmax[k] = a
+            new = wk - (step_scale / (gm * sqrt(t))) * g * v
             # per-feature weight ball keeps |w_k * v| <= D for |v| <= G_k
             cap = D / gm
             if new > cap:
                 new = cap
             elif new < -cap:
                 new = -cap
-            st[0] = new
+            w[k] = new
 
 
 class _SlotCommittee:

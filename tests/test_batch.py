@@ -146,12 +146,6 @@ class TestRunBatch:
         tr = run_batch(obj, dic, target, 1.0, [0.1, 0.2, 0.3], "gated")
         np.testing.assert_allclose(tr.s, [1.0, 1.1, 1.3, 1.6], atol=1e-15)
 
-    def test_variant_alias(self):
-        obj, dic, target = _orthonormal_problem([0.3, 0.1])
-        a = run_batch(obj, dic, target, 1.0, [0.1] * 5, "zy")
-        b = run_batch(obj, dic, target, 1.0, [0.1] * 5, "ungated")
-        np.testing.assert_array_equal(a.deltas, b.deltas)
-
     def test_monotone_progress_allowance(self):
         obj, dic, comp, W = make_planted_batch_problem(seed=1)
         tr = run_batch(obj, dic, comp, W, [0.1] * 120, "ungated")

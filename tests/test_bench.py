@@ -13,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import ogboost.bench
-from ogboost.core import Example
+from ogboost.core import Example, feature_id
 from ogboost.losses import LossClass
 from ogboost.learners import FunctionPool, hedge_committee
 from ogboost.boosting import HullBooster, SpanBooster
@@ -34,9 +34,22 @@ from ogboost.bench import (
     regret_report,
     span_regret_bound,
     uniform_pool_comparator,
-    write_stream,
     zero_comparator,
 )
+
+
+def _write_stream(stream, path, fmt="libsvm", names=()):
+    """Write a stream back as text at full float precision; a csv file has columns ``names``."""
+    if fmt == "libsvm":
+        lines = [" ".join([repr(float(ex.label))]
+                          + [f"{k}:{float(v)!r}" for k, v in sorted(ex.features.items())])
+                 for ex in stream.examples]
+    else:
+        lines = ["label," + ",".join(names)] + [
+            ",".join(repr(float(v)) for v in
+                     [ex.label, *(ex.features.get(feature_id(n), 0.0) for n in names)])
+            for ex in stream.examples]
+    Path(path).write_text("\n".join(lines) + "\n")
 
 
 # libsvm text with duplicate ids, ids beyond int64, zeros, -0.0, non-finite
@@ -182,7 +195,7 @@ class TestParsing:
         p.write_text(text)
         s1 = parse_stream(p, fmt)
         q = tmp_path / f"rt.{fmt}"
-        write_stream(s1, q, fmt)
+        _write_stream(s1, q, fmt, ["f1", "f2", "f3"])
         s2 = parse_stream(q, fmt)
         assert len(s1) == len(s2)
         for a, b in zip(s1.examples, s2.examples):
@@ -193,7 +206,7 @@ class TestParsing:
         # generated streams hold numpy scalars, unlike parsed ones
         s1 = make_additive_stream(50, seed=0)
         p = tmp_path / "additive.svm"
-        write_stream(s1, p)
+        _write_stream(s1, p)
         s2 = parse_stream(p, "libsvm")
         assert len(s2) == len(s1)
         labels = np.array([ex.label for ex in s1.examples])

@@ -268,6 +268,16 @@ class TestModeFlags:
         summary = json.loads((tmp_path / "greedy.json").read_text())
         assert summary["rounds"] == 200
 
+    def test_greedy_offsets_follow_corollary_radius(self, capsys, tmp_path):
+        # partial sums reach eta*N*D = ln 4 here, beyond the squared loss's default radius 1
+        code, out, err = _run([
+            "run", "--algo", "span", "--stages", "4", "--base", "greedy", "--corollary-mode",
+            "--synthetic", "planted", "--rounds", "200",
+            "--out-dir", str(tmp_path), "--tag", "greedy-cor"], capsys)
+        assert code == 0, err
+        summary = json.loads((tmp_path / "greedy-cor.json").read_text())
+        assert summary["radius"] == pytest.approx(math.log(4.0))
+
     def test_out_dir_env_default(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("OGBOOST_OUT", str(tmp_path / "envruns"))
         code, out, err = _run([
@@ -281,6 +291,23 @@ class TestModeFlags:
             "run", "--data", str(tmp_path / "nope.svm"), "--out-dir", str(tmp_path)],
             capsys)
         assert code == 3
+
+
+class TestRunFlagCombinations:
+    @pytest.mark.parametrize("loss", ["squared", "logistic", "mls", "p-norm:3", "linear"])
+    @pytest.mark.parametrize("corollary", [False, True])
+    @pytest.mark.parametrize("base", ["ogd", "stump", "hedge-pool", "greedy"])
+    @pytest.mark.parametrize("algo", ["span", "ch"])
+    def test_runs_or_rejects_config(self, capsys, tmp_path, algo, base, corollary, loss):
+        for symmetrize in (False, True):
+            for scale in ("1", "2"):
+                argv = ["run", "--algo", algo, "--base", base, "--loss", loss, "--stages", "4",
+                        "--rounds", "200", "--scale", scale, "--out-dir", str(tmp_path)]
+                argv += ["--corollary-mode"] * corollary + ["--symmetrize"] * symmetrize
+                code, out, err = _run(argv, capsys)
+                rejected = ((symmetrize and base in ("hedge-pool", "greedy"))
+                            or (base == "greedy" and (scale == "2" or loss == "linear")))
+                assert code == (EXIT_CONFIG if rejected else 0), (argv, err)
 
 
 class TestBatchCompare:

@@ -2,15 +2,17 @@
 
 Usage: python3 tools/mutation_probe.py [--only NAME_PART ...] [--baseline]
 
-Each mutation replaces one exact code fragment in a fresh copy of ``src/``,
-``tests/`` and ``pyproject.toml`` made in a temporary directory.  The test
-suite then runs in that copy without ``tests/test_golden.py``, and the probe
-prints the tests that failed, one row per mutation.  The golden digests are
-left out because any change to the arithmetic fails them, so they cannot
-show which behaviour a mutation breaks.  A fragment that does not occur
-exactly once in its file stops the probe: the list below must follow the
-code it names.  ``--baseline`` first runs the unmutated copy, which should
-fail nothing.  The repository itself is never modified.
+The probe first copies ``src/``, ``tests/`` and ``pyproject.toml`` once into
+a snapshot in a temporary directory.  Each mutation replaces one exact code
+fragment in a fresh copy of that snapshot.  The test suite then runs in that
+copy without ``tests/test_golden.py``, and the probe prints the tests that
+failed, one row per mutation.  The golden digests are left out because any
+change to the arithmetic fails them, so they cannot show which behaviour a
+mutation breaks.  A fragment that does not occur exactly once in its file
+stops the probe: the list below must follow the code it names.
+``--baseline`` first runs the unmutated copy, which should fail nothing.
+The repository itself is never modified, and edits made to it while the
+probe runs do not reach the copies.
 
 One run of the suite takes about two minutes on two cores.
 """
@@ -79,7 +81,8 @@ _FAILED = re.compile(r"^(?:FAILED|ERROR) (\S+)", re.MULTILINE)
 _SUMMARY = re.compile(r"^=*\s*(\d+ (?:passed|failed|error).*?) in [\d.]+s", re.MULTILINE)
 
 
-def _copy_tree(dest: Path) -> None:
+def _snapshot(dest: Path) -> None:
+    """Copy what the suite needs from the repository into ``dest``."""
     ignore = shutil.ignore_patterns("__pycache__", "*.pyc")
     for name in ("src", "tests"):
         shutil.copytree(ROOT / name, dest / name, ignore=ignore)
@@ -104,14 +107,17 @@ def _run_suite(copy: Path) -> tuple[list[str], str]:
     return _FAILED.findall(out), summary[-1] if summary else "no summary (collection failed?)"
 
 
-def probe(mutation: Mutation | None) -> tuple[list[str], str]:
-    with tempfile.TemporaryDirectory(prefix="mutation-probe-") as tmp:
-        copy = Path(tmp)
-        _copy_tree(copy)
+def probe(snapshot: Path, mutation: Mutation | None) -> tuple[list[str], str]:
+    """Run the suite in a fresh copy of ``snapshot`` with ``mutation`` applied."""
+    copy = snapshot.with_name("run")
+    shutil.copytree(snapshot, copy)
+    try:
         if mutation is not None:
             path = copy / mutation.path
             path.write_text(_mutated(path.read_text(), mutation))
         return _run_suite(copy)
+    finally:
+        shutil.rmtree(copy)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -122,18 +128,21 @@ def main(argv: list[str] | None = None) -> int:
     args = ap.parse_args(argv)
     chosen = [m for m in MUTATIONS
               if args.only is None or any(s in m.name for s in args.only)]
-    for m in chosen:  # check every fragment before the first long run
-        _mutated((ROOT / m.path).read_text(), m)
     rows = [None] * args.baseline + chosen
-    print("| mutation | tests that failed (suite without tests/test_golden.py) |")
-    print("| --- | --- |")
     uncaught = 0
-    for m in rows:
-        failed, summary = probe(m)
-        name = "none (baseline)" if m is None else m.name
-        caught = ", ".join(f"`{f}`" for f in failed) or "none"
-        print(f"| {name} | {len(failed)}: {caught} ({summary}) |", flush=True)
-        uncaught += m is not None and not failed
+    with tempfile.TemporaryDirectory(prefix="mutation-probe-") as tmp:
+        snapshot = Path(tmp) / "snapshot"
+        _snapshot(snapshot)
+        for m in chosen:  # check every fragment before the first long run
+            _mutated((snapshot / m.path).read_text(), m)
+        print("| mutation | tests that failed (suite without tests/test_golden.py) |")
+        print("| --- | --- |")
+        for m in rows:
+            failed, summary = probe(snapshot, m)
+            name = "none (baseline)" if m is None else m.name
+            caught = ", ".join(f"`{f}`" for f in failed) or "none"
+            print(f"| {name} | {len(failed)}: {caught} ({summary}) |", flush=True)
+            uncaught += m is not None and not failed
     print(f"\n{len(chosen) - uncaught} of {len(chosen)} mutations caught")
     return 1 if uncaught else 0
 
