@@ -198,8 +198,11 @@ def _rescale(path: Path, labels: list[float], label_range: tuple[float, float]) 
             for l in labels]
 
 
-# the characters of plain numbers; deleting them leaves " : : ..." of a plain libsvm line
-_NUMBER_CHARS = str.maketrans("", "", "0123456789.+-eE")
+# deletes digits and signs and writes exponent marks as "."; deleting the "."s then
+# leaves " :" once per pair of a plain line
+_DIGITS_SIGNS = str.maketrans("eE", "..", "0123456789+-")
+_BLOCK_HINT = 1 << 16  # characters of text parsed per block
+_EXACT_ID = 2.0 ** 53  # float ids below this in magnitude are exact integers
 
 
 def _parse_label(path: Path, ln: int, tok: str) -> float:
@@ -222,36 +225,59 @@ def _check_row(path: Path, ln: int, row: dict[int, float]) -> None:
             raise StreamFormatError(f"{path}:{ln}: {e}") from None
 
 
-class _FeatureIds(dict):
-    """``int`` of each feature-id string, converted once per file."""
+def _libsvm_block(lines: list[str]
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None:
+    """Labels, int64 ids, values and row ends of a block of plain lines; else None.
 
-    def __missing__(self, tok: str) -> int:
-        k = self[tok] = int(tok)
-        return k
-
-
-def _plain_libsvm_line(line: str, ids: _FeatureIds
-                       ) -> tuple[float, list[int], list[float]] | None:
-    """A line of single-spaced plain numbers, all finite and nonzero, ids distinct; else None.
-
-    One split and a few C-level passes parse it into its label, ids and
-    values.  Any other line, blank or malformed included, returns None and
-    is parsed token by token.
+    A plain line is its label and single-spaced ``id:value`` pairs of plain
+    numbers, with integer ids below 2**53 in magnitude, finite nonzero values
+    and distinct ids; blank lines are skipped.  One ``np.fromstring`` call
+    parses the whole block, so it rounds each number as ``float`` does.  Row
+    i's pairs end at ``ends[i]`` in the block's ids and values.  A block with
+    any other line returns None and is parsed line by line.
     """
-    m = line.count(":")
-    if line.translate(_NUMBER_CHARS) != " :" * m:
+    # blank lines hold no label, and fromstring reads a text of separators alone as [-1.0]
+    if "\n" in lines or "" in lines:
+        lines = [line for line in lines if line not in ("\n", "")]
+    text = "".join(lines)
+    if not text.endswith("\n"):
+        text += "\n"
+    bare = text.translate(_DIGITS_SIGNS)
+    if ".:" in bare:
+        return None  # an id written with a point or an exponent
+    bare = bare.replace(".", "")
+    if bare.replace(" :", "") != "\n" * len(lines):
         return None
-    parts = line.replace(":", " ").split(" ")
+    # line i of ``bare`` is " :" once per pair, then its newline
+    newlines = np.flatnonzero(np.frombuffer(bare.encode(), np.uint8) == ord("\n"))
+    counts = np.diff(newlines, prepend=-1) // 2
+    width = 2 * counts + 1  # numbers on each line
     try:
-        label = float(parts[0])
-        vals = list(map(float, parts[2::2]))
-        keys = list(map(ids.__getitem__, parts[1::2]))
-    except ValueError:
+        nums = np.fromstring(text.replace(":", " "), sep=" ")
+    except ValueError:  # a token that is not one number
         return None
-    if (0.0 in vals or not math.isfinite(label) or not all(map(math.isfinite, vals))
-            or len(set(keys)) != len(keys)):
+    if nums.size != width.sum() or not np.isfinite(nums).all():
         return None
-    return label, keys, vals
+    first = np.cumsum(width) - width
+    is_pair = np.ones(nums.size, bool)
+    is_pair[first] = False
+    pairs = nums[is_pair]
+    ids, values = pairs[0::2], pairs[1::2]
+    if not values.all() or not (np.abs(ids) < _EXACT_ID).all():
+        return None
+    ids = ids.astype(np.int64)
+    ends = np.cumsum(counts)
+    starts = ends - counts
+    # positions whose id does not exceed the one before; only those that start a row are fine
+    down = np.flatnonzero(ids[1:] <= ids[:-1]) + 1
+    rows = np.searchsorted(ends, down, side="right")
+    rows = np.unique(rows[down != starts[rows]])
+    if rows.size:  # rows whose ids do not ascend are checked for repeats by a set
+        row_ids = ids.tolist()
+        for a, b in zip(starts[rows].tolist(), ends[rows].tolist()):
+            if len(set(row_ids[a:b])) != b - a:
+                return None
+    return nums[first], ids, values, ends
 
 
 def _libsvm_line(path: Path, ln: int, line: str) -> tuple[float, list[int], list[float]]:
@@ -277,9 +303,9 @@ def _libsvm_line(path: Path, ln: int, line: str) -> tuple[float, list[int], list
     return label, list(row), list(row.values())
 
 
-def _numbered_lines(fh):
+def _numbered_lines(fh, start: int = 1):
     """(line number, line) of a text file, broken where ``str.splitlines`` breaks its text."""
-    return enumerate((s for line in fh for s in line.splitlines()), start=1)
+    return enumerate((s for line in fh for s in line.splitlines()), start=start)
 
 
 def parse_stream(path: str | Path, fmt: str, label_range: tuple[float, float] = (-1.0, 1.0),
@@ -290,8 +316,13 @@ def parse_stream(path: str | Path, fmt: str, label_range: tuple[float, float] = 
     ``label_range`` (idempotent when the data already fills the range).
     Malformed lines, non-finite labels or values and feature ids beyond
     int64 are rejected with their line number.  Explicit zero feature
-    values are dropped.  Each line's ids and values are appended to the
-    stream's columns as it is read; neither the text nor the rows are kept.
+    values are dropped.  A libsvm file is read in blocks of about
+    ``_BLOCK_HINT`` characters of whole lines.  A block of plain lines (see
+    ``_libsvm_block``) is parsed by one numpy call and appended to the
+    stream's columns at once; any other block, a faulty one included, is
+    parsed line by line by ``_libsvm_line``, which raises at the first
+    fault with its ``path:line``.  A csv file is parsed line by line.
+    Neither the text nor the rows are kept.
     """
     path = Path(path)
     if fmt not in ("libsvm", "csv"):
@@ -312,8 +343,8 @@ def parse_stream(path: str | Path, fmt: str, label_range: tuple[float, float] = 
         labels.append(label)
 
     with open(path) as fh:
-        lines = _numbered_lines(fh)
         if fmt == "csv":
+            lines = _numbered_lines(fh)
             first = next(lines, (1, ""))[1]
             header = first.split(",")
             if len(header) < 2 or header[0].strip().lower() != "label":
@@ -341,14 +372,20 @@ def parse_stream(path: str | Path, fmt: str, label_range: tuple[float, float] = 
                 _check_row(path, ln, row)
                 append(ln, label, list(row), list(row.values()))
         else:
-            known = _FeatureIds()
-            for ln, line in lines:
-                parsed = _plain_libsvm_line(line, known)
+            ln = 0  # the number of the line before the block
+            while block := fh.readlines(_BLOCK_HINT):
+                parsed = _libsvm_block(block)
                 if parsed is None:
-                    if not line.strip():
-                        continue
-                    parsed = _libsvm_line(path, ln, line)
-                append(ln, *parsed)
+                    for ln, line in _numbered_lines(block, ln + 1):
+                        if line.strip():
+                            append(ln, *_libsvm_line(path, ln, line))
+                    continue
+                ln += len(block)  # a plain line holds no line break but its last
+                block_labels, block_ids, block_values, ends = parsed
+                indptr.frombytes((ends + len(ids)).tobytes())
+                ids.frombytes(block_ids.tobytes())
+                values.frombytes(block_values.tobytes())
+                labels.extend(block_labels.tolist())
     if not labels:
         raise StreamFormatError(f"{path}: empty file")
 

@@ -105,6 +105,8 @@ class RunConfig:
                             "norm1", "split")
         if self.algo not in ("span", "ch"):
             errs.append(f"--algo must be span or ch, got {self.algo!r}")
+        if self.algo == "ch" and self.corollary_mode:
+            errs.append("--corollary-mode sets the span booster's radius; drop it with --algo ch")
         if self.eta != "auto":
             try:
                 eta = float(self.eta)
@@ -438,7 +440,7 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--scale", type=float, default=1.0,
                    help="prediction scaling factor lambda >= 1")
     p.add_argument("--corollary-mode", action="store_true",
-                   help="deterministic-learner mode: working radius eta*N*D")
+                   help="deterministic-learner mode of --algo span: working radius eta*N*D")
     p.add_argument("--data", default=None, help="dataset path (omit for synthetic)")
     p.add_argument("--format", default="libsvm", help="dataset format: libsvm or csv")
     p.add_argument("--label-range", default="pm1", choices=("pm1", "01"),

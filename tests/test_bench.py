@@ -76,6 +76,17 @@ def _libsvm_lines(draw):
             + draw(st.sampled_from([""] * 6 + [" ", "\t"])))
 
 
+# single-spaced lines of integer ids and finite values, so that whole blocks take the
+# fast path beside faulty lines; the ids repeat, descend and straddle 2**53
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_PLAIN_LINES = st.builds(
+    lambda label, pairs: " ".join([repr(label), *(f"{k}:{v!r}" for k, v in pairs)]),
+    _FINITE,
+    st.lists(st.tuples(st.one_of(st.integers(-5, 40),
+                                 st.sampled_from([2**53 - 1, 2**53, 2**53 + 1, -2**53])),
+                       _FINITE), max_size=5))
+
+
 class TestParsing:
     def test_libsvm_line(self, tmp_path):
         p = tmp_path / "d.svm"
@@ -111,30 +122,48 @@ class TestParsing:
         ("1:2 3 4:5", "non-numeric label '1:2'"),
         ("1 3 4:5:6", "malformed pair '3'"),
         ("1 3:0.5 1e999:2", "malformed pair '1e999:2'"),
+        ("1 3.0:0.5", "malformed pair '3.0:0.5'"),
+        ("1 2:1 1e1:2", "malformed pair '1e1:2'"),
     ])
     def test_misplaced_colons_cite_line(self, tmp_path, line, error):
-        # colon and number counts match a well-formed line; the token order does not
+        # colon and number counts match a well-formed line; the tokens do not
         p = tmp_path / "d.svm"
         p.write_text(f"-1 1:1\n{line}\n")
         with pytest.raises(StreamFormatError, match=re.escape(f"{p}:2: {error}")):
             parse_stream(p, "libsvm")
 
-    def test_irregular_spacing_zeros_and_repeated_ids(self, tmp_path):
+    @pytest.mark.parametrize("text, rows", [
+        ("1\t3:0.5  7:1.2 \n-1 3:0 3:0.25 7:1 7:-0.0 9:1e-3\n",
+         [[(3, 0.5), (7, 1.2)], [(3, 0.25), (7, 1.0), (9, 0.001)]]),
+        ("1 9007199254740993:0.5\n-1 2:1\n", [[(9007199254740993, 0.5)], [(2, 1.0)]]),
+        ("1 7:0.5 3:1.5 2:2\n-1 2:1 4:1\n", [[(7, 0.5), (3, 1.5), (2, 2.0)], [(2, 1.0), (4, 1.0)]]),
+        ("1 3:0.5 7:1 3:2\n-1 2:1\n", [[(3, 2.0), (7, 1.0)], [(2, 1.0)]]),
+        ("1 3:0 4:-0.0 5:2\n-1 2:1\n", [[(5, 2.0)], [(2, 1.0)]]),
+        ("1 3:0.5\r\n-1 2:1\r\n", [[(3, 0.5)], [(2, 1.0)]]),
+        ("1 3:0.5\f-1 2:1\n", [[(3, 0.5)], [(2, 1.0)]]),
+    ], ids=["spacing-zeros-repeats", "id-2**53+1", "descending-ids", "repeated-ids",
+            "zero-values", "crlf", "form-feed"])
+    def test_irregular_spacing_zeros_and_repeated_ids(self, tmp_path, text, rows):
         p = tmp_path / "d.svm"
-        p.write_text("1\t3:0.5  7:1.2 \n-1 3:0 3:0.25 7:1 7:-0.0 9:1e-3\n")
+        p.write_bytes(text.encode())
         s = parse_stream(p, "libsvm")
-        assert s.examples[0].features == {3: 0.5, 7: 1.2}
-        assert list(s.examples[1].features.items()) == [(3, 0.25), (7, 1.0), (9, 0.001)]
+        assert s.labels.tolist() == [1.0, -1.0]
+        # ids and values as stored, so a repeated id cannot hide behind the feature dict
+        assert [list(zip(ex.ids.tolist(), ex.values.tolist())) for ex in s.examples] == rows
 
     @pytest.mark.parametrize("fmt, text, where", [
         ("libsvm", "0.5 1:1\n-0.5 1:2\ninf 1:3\n0.25 1:4\n", "3: non-finite label"),
         ("libsvm", "0.5 1:1\n\n-0.5 1:nan 2:1\n", "3: non-finite feature"),
         ("csv", "label,a\n0.5,1\n-0.5,2\ninf,3\n0.25,4\n", "4: non-finite label"),
         ("csv", "label,a\n0.5,1\n\n-0.5,nan\n", "4: non-finite feature"),
-    ], ids=["libsvm-label", "libsvm-feature", "csv-label", "csv-feature"])
+        ("libsvm", "0.5 1:1\r\n-0.5 1:2\r\ninf 1:3\r\n", "3: non-finite label"),
+        # a form feed breaks a line where str.splitlines breaks it
+        ("libsvm", "0.5 1:1\f\n-0.5 1:2\n0.25 1:nan\n", "4: non-finite feature"),
+    ], ids=["libsvm-label", "libsvm-feature", "csv-label", "csv-feature", "libsvm-crlf-label",
+            "libsvm-form-feed-feature"])
     def test_non_finite_values_cite_line(self, tmp_path, fmt, text, where):
         p = tmp_path / f"d.{fmt}"
-        p.write_text(text)
+        p.write_bytes(text.encode())
         with pytest.raises(StreamFormatError, match=re.escape(f"{p}:{where}")):
             parse_stream(p, fmt)
 
@@ -218,10 +247,38 @@ class TestParsing:
     @given(line=_libsvm_lines())
     @settings(max_examples=400, deadline=None)
     def test_fast_path_agrees_with_token_path(self, line):
-        plain = ogboost.bench._plain_libsvm_line(line, ogboost.bench._FeatureIds())
-        if plain is not None:
+        block = ogboost.bench._libsvm_block([line])
+        if block is not None:
+            labels, ids, values, _ = block
+            plain = (float(labels[0]), ids.tolist(), values.tolist())
             token = ogboost.bench._libsvm_line(Path("d.svm"), 1, line)
             assert repr(plain) == repr(token)  # repr tells -0.0 from 0.0 and int from float
+
+    @given(lines=st.lists(st.one_of(_libsvm_lines(), _PLAIN_LINES, st.just("")),
+                          min_size=1, max_size=12),
+           breaks=st.lists(st.sampled_from(["\n"] * 6 + ["\r\n", "\f"]), min_size=12,
+                           max_size=12),
+           hint=st.integers(1, 120))
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_blocks_agree_with_line_by_line(self, tmp_path, monkeypatch, lines, breaks, hint):
+        # small blocks put faults, blank lines and line breaks on block edges
+        p = tmp_path / "blocks.svm"
+        p.write_bytes("".join(map(str.__add__, lines, breaks)).encode())
+
+        def parsed():
+            try:
+                columns = parse_stream(p, "libsvm").examples
+            except StreamFormatError as e:
+                return str(e)
+            return [(a.dtype, a.tobytes()) for a in
+                    (columns.indptr, columns.ids, columns.values, columns.labels)]
+
+        monkeypatch.setattr(ogboost.bench, "_BLOCK_HINT", hint)
+        blocks = parsed()
+        with monkeypatch.context() as m:
+            m.setattr(ogboost.bench, "_libsvm_block", lambda lines: None)
+            assert blocks == parsed()
 
     @given(lines=st.lists(st.one_of(_libsvm_lines(), st.just("")), min_size=1, max_size=6))
     @settings(max_examples=200, deadline=None,

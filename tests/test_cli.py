@@ -306,8 +306,11 @@ class TestRunFlagCombinations:
                 argv += ["--corollary-mode"] * corollary + ["--symmetrize"] * symmetrize
                 code, out, err = _run(argv, capsys)
                 rejected = ((symmetrize and base in ("hedge-pool", "greedy"))
-                            or (base == "greedy" and (scale == "2" or loss == "linear")))
+                            or (base == "greedy" and (scale == "2" or loss == "linear"))
+                            or (algo == "ch" and corollary))
                 assert code == (EXIT_CONFIG if rejected else 0), (argv, err)
+                if algo == "ch" and corollary:
+                    assert "--corollary-mode" in err and "--algo ch" in err, err
 
 
 class TestBatchCompare:

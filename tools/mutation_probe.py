@@ -75,6 +75,14 @@ MUTATIONS = [
              "f = w[region - 1] * v + 0.0", "f = w[region % n] * v + 0.0"),
     Mutation("planted noise drawn when sigma is 0", "src/ogboost/bench.py",
              "weights.tolist(), noise_sigma > 0", "weights.tolist(), noise_sigma >= 0"),
+    Mutation("libsvm block keeps zero values", "src/ogboost/bench.py",
+             "if not values.all() or not (np.abs(ids) < _EXACT_ID).all():",
+             "if not (np.abs(ids) < _EXACT_ID).all():"),
+    Mutation("libsvm block without the 2**53 id bound", "src/ogboost/bench.py",
+             "if not values.all() or not (np.abs(ids) < _EXACT_ID).all():",
+             "if not values.all():"),
+    Mutation("libsvm block without the distinct-id check", "src/ogboost/bench.py",
+             "if rows.size:", "if False:"),
 ]
 
 _FAILED = re.compile(r"^(?:FAILED|ERROR) (\S+)", re.MULTILINE)
