@@ -1,6 +1,6 @@
 """Streaming regression boosting over online linear base learners."""
 
-from .core import Example, clip_unit_interval, project_to_ball, seeded_rng, vdot, vnorm
+from .core import Example, project_to_ball, seeded_rng
 from .losses import BallParams, LossClass, LossInstance, bisect_ball_radius, parse_loss_flag
 from .learners import (
     FunctionPool,

@@ -32,7 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import Example, Vector, clip_unit_interval, project_to_ball, vdot
+from .core import Example
 from .losses import LossClass, LossInstance, _check_eta
 
 
@@ -119,7 +119,7 @@ class SpanBooster(_BoosterBase):
 
     Updates pass each stage the normalized gradient at its input partial
     sum and move s_i by online gradient descent on the alignment
-    gradient . y^{i-1}, clipped back to [0, 1].
+    gradient * y^{i-1}, clipped back to [0, 1].
 
     ``deterministic_mode`` (the CLI's --corollary-mode) sets the working
     radius to eta*N*D, which makes the projection vacuous on reachable
@@ -149,23 +149,19 @@ class SpanBooster(_BoosterBase):
         self.smoothness = params.smoothness
         self.shrink = [0.0] * n
 
-    def predict(self, x: Example) -> tuple[Vector, RoundTrace]:
+    def predict(self, x: Example) -> tuple[float, RoundTrace]:
         rid = self._open_round()
         eta = self.eta
         radius = self.radius
-        y: Vector = 0.0
+        y = 0.0
         sums = [y]
         arms = self.learners[0].predict(x)
         for s, a in zip(self.shrink, arms):
             y = (1.0 - s * eta) * y + eta * a
-            # scalar fast path of project_to_ball
-            if type(y) is float:
-                if y > radius:
-                    y = radius
-                elif y < -radius:
-                    y = -radius
-            else:
-                y = project_to_ball(y, radius)
+            if y > radius:  # project onto the working ball
+                y = radius
+            elif y < -radius:
+                y = -radius
             sums.append(y)
         return y, RoundTrace(rid, sums, arms)
 
@@ -181,13 +177,8 @@ class SpanBooster(_BoosterBase):
         self._update_learners(x, sums, loss, feedbacks)
         for i, grad in enumerate(grads):
             y_prev = sums[i]
-            if type(grad) is float:
-                s = shrink[i] + alpha * (grad * y_prev)
-                shrink[i] = 0.0 if s < 0.0 else 1.0 if s > 1.0 else s
-            else:
-                # a scalar y_prev here can only be the stage-1 zero seed
-                align = 0.0 if type(y_prev) is float else vdot(grad, y_prev)
-                shrink[i] = clip_unit_interval(shrink[i] + alpha * align)
+            s = shrink[i] + alpha * (grad * y_prev)
+            shrink[i] = 0.0 if s < 0.0 else 1.0 if s > 1.0 else s
         return feedbacks
 
 
@@ -210,9 +201,9 @@ class HullBooster(_BoosterBase):
         self.smoothness = params.smoothness
         self.stage_weights = [2.0 / (i + 2) for i in range(self.stages)]  # stage i+1 -> 2/(i+2)
 
-    def predict(self, x: Example) -> tuple[Vector, RoundTrace]:
+    def predict(self, x: Example) -> tuple[float, RoundTrace]:
         rid = self._open_round()
-        y: Vector = 0.0
+        y = 0.0
         sums = [y]
         arms = self.learners[0].predict(x)
         for w, a in zip(self.stage_weights, arms):

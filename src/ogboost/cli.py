@@ -536,6 +536,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError, RuntimeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_RUNTIME
+    except ArithmeticError as e:  # e.g. a float overflow under an extreme parameter
+        print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
+        return EXIT_RUNTIME
 
     print(json.dumps({k: v for k, v in summary.items() if not k.startswith("_")},
                      indent=2, default=float))

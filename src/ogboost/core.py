@@ -1,9 +1,8 @@
 """Shared numeric primitives for the streaming boosting engine.
 
-Predictions live in R^d.  Every experiment shipped with this package is
-1-dimensional, so the hot paths use plain Python floats; the same helpers
-accept numpy arrays for d > 1.  The norm is Euclidean (absolute value at
-d = 1), which gives the ball projection a closed form.
+Predictions, labels and stage feedback are Python floats: every
+experiment shipped with this package is 1-dimensional regression.  The
+ball projection is scalar clipping to [-radius, radius].
 
 All types here are immutable values and safe to share between threads.
 """
@@ -14,10 +13,6 @@ import math
 import zlib
 
 import numpy as np
-
-# Scalar fast path for d = 1, numpy array for general d.
-Vector = float | np.ndarray
-
 
 def feature_id(name: str | int) -> int:
     """32-bit feature id; string names are hashed, ints pass through."""
@@ -100,39 +95,13 @@ class Example:
         return self
 
 
-def vnorm(y: Vector) -> float:
-    """Euclidean norm; absolute value for scalars."""
-    if isinstance(y, np.ndarray):
-        return float(np.linalg.norm(y))
-    return abs(y)
+def project_to_ball(y: float, radius: float) -> float:
+    """Clip ``y`` to [-radius, radius], the ball of the given radius.
 
-
-def vdot(a: Vector, b: Vector) -> float:
-    """Inner product.  Dimensions must agree for array inputs."""
-    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
-        a_arr = np.asarray(a, dtype=float)
-        b_arr = np.asarray(b, dtype=float)
-        if a_arr.shape != b_arr.shape:
-            raise ValueError(f"dimension mismatch: {a_arr.shape} vs {b_arr.shape}")
-        return float(a_arr @ b_arr)
-    return a * b
-
-
-def project_to_ball(y: Vector, radius: float) -> Vector:
-    """Project ``y`` onto the Euclidean ball of the given radius.
-
-    Identity inside the ball, radial scaling outside.  Inputs must be
-    finite and ``radius`` positive.
+    Inputs must be finite and ``radius`` positive.
     """
     if radius <= 0:
         raise ValueError(f"ball radius must be positive, got {radius}")
-    if isinstance(y, np.ndarray):
-        if not np.all(np.isfinite(y)):
-            raise ValueError("non-finite prediction passed to projection")
-        n = float(np.linalg.norm(y))
-        if n <= radius:
-            return y
-        return y * (radius / n)
     if not math.isfinite(y):
         raise ValueError(f"non-finite prediction passed to projection: {y!r}")
     if y > radius:
@@ -140,17 +109,6 @@ def project_to_ball(y: Vector, radius: float) -> Vector:
     if y < -radius:
         return -radius
     return y
-
-
-def clip_unit_interval(s: float) -> float:
-    """max(min(s, 1), 0) for finite s."""
-    if not math.isfinite(s):
-        raise ValueError(f"non-finite value passed to clip: {s!r}")
-    if s < 0.0:
-        return 0.0
-    if s > 1.0:
-        return 1.0
-    return s
 
 
 def seeded_rng(seed: int, *tags: int | str) -> np.random.Generator:

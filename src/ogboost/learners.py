@@ -1,9 +1,9 @@
 """Online linear base learners.
 
 A base learner is a stateful predict/update pair.  Its predictions are
-bounded in norm by ``output_bound`` and it accepts only linear feedback:
-an update with gradient vector g (norm at most 1) means the round's loss
-was y -> g . y.  Implementations:
+floats bounded in absolute value by ``output_bound`` and it accepts only
+linear feedback: an update with a scalar gradient g, |g| <= 1, means the
+round's loss was y -> g * y.  Implementations:
 
 * ``OnlineGradientLearner`` -- projected online gradient descent over
   sparse linear regressors.
@@ -40,21 +40,17 @@ from typing import Callable
 
 import numpy as np
 
-from .core import Example, Vector, seeded_rng, vnorm
+from .core import Example, seeded_rng
 from .losses import BallParams, LossInstance
 
 FEEDBACK_TOL = 1e-9
 
 
-def _check_feedback(g: Vector) -> Vector:
-    """The gradient g of a round's linear loss y -> g . y, checked for ||g|| <= 1."""
-    if type(g) is float:
-        if -1.0 - FEEDBACK_TOL <= g <= 1.0 + FEEDBACK_TOL:
-            return g
-        raise ValueError(f"linear feedback norm {abs(g):.6g} exceeds 1")
-    if vnorm(g) > 1.0 + FEEDBACK_TOL:
-        raise ValueError(f"linear feedback norm {vnorm(g):.6g} exceeds 1")
-    return g
+def _check_feedback(g: float) -> float:
+    """The gradient g of a round's linear loss y -> g * y, checked for |g| <= 1."""
+    if -1.0 - FEEDBACK_TOL <= g <= 1.0 + FEEDBACK_TOL:
+        return g
+    raise ValueError(f"linear feedback norm {abs(g):.6g} exceeds 1")
 
 
 def _feedback_vector(fb, n: int, bound: float = 1.0, what: str = "linear feedback") -> np.ndarray:

@@ -1,9 +1,10 @@
 """Convex loss families with per-ball regularity parameters.
 
-Each family is a set of convex losses indexed by the round's true label.
-For a ball of radius ``b`` the family exposes a Lipschitz constant, a
-smoothness constant and a projection-penalty rate, plus a solver for the
-working ball radius used by the span booster:
+Each family is a set of convex losses of a scalar prediction, indexed by
+the round's scalar true label.  For the ball of radius ``b`` (the interval
+[-b, b]) the family exposes a Lipschitz constant, a smoothness constant and
+a projection-penalty rate, plus a solver for the working ball radius used
+by the span booster:
 
     radius = min(eta * N * D,  inf{ b >= D : eta * beta_b * b^2 >= eps_b * D })
 
@@ -13,8 +14,8 @@ here, and a sampled probe guards that assumption).
 
 Families
 --------
-linear                 -y* . y
-p_norm (p >= 2)        |y* - y|^p
+linear                 -y* y
+p_norm (finite p >= 2) |y* - y|^p
 modified_least_squares max(1 - y* y, 0)^2 / 2
 logistic               ln(1 + exp(-y* y))
 squared                (y - y*)^2 / 2
@@ -38,8 +39,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .core import Vector, vnorm
 
 FAMILIES = ("linear", "p_norm", "modified_least_squares", "logistic", "squared")
 
@@ -67,32 +66,26 @@ class BallParams:
 
 @dataclass(frozen=True, slots=True)
 class LossInstance:
-    """A single round's loss: family tag plus the round's true label.
-
-    Labels are scalars in every shipped experiment; the distance-based
-    families (squared, p_norm) also accept label vectors for d > 1.
-    """
+    """A single round's loss: family tag plus the round's true label."""
 
     family: str
-    y_star: float | np.ndarray
+    y_star: float
     p: float = 2.0
 
-    def evaluate(self, y: Vector) -> float:
+    def evaluate(self, y: float) -> float:
         f = self.family
         if f == "linear":
-            return -self.y_star * _as_scalar(y)
+            return -self.y_star * y
         if f == "squared":
-            d = (_as_scalar(y) if _is_scalar(y) else y) - self.y_star
-            if isinstance(d, np.ndarray):
-                return 0.5 * float(np.dot(d, d))
+            d = y - self.y_star
             return 0.5 * d * d
         if f == "p_norm":
-            return vnorm(_residual(self.y_star, y)) ** self.p
+            return abs(self.y_star - y) ** self.p
         if f == "modified_least_squares":
-            m = max(1.0 - self.y_star * _as_scalar(y), 0.0)
+            m = max(1.0 - self.y_star * y, 0.0)
             return 0.5 * m * m
         if f == "logistic":
-            z = -self.y_star * _as_scalar(y)
+            z = -self.y_star * y
             # log(1 + e^z) without overflow
             return math.log1p(math.exp(z)) if z < 30 else z
         raise ValueError(f"unknown loss family: {f}")
@@ -108,50 +101,26 @@ class LossInstance:
         # numpy's exp, log1p and power round differently from math's and **
         return np.vectorize(self.evaluate, otypes=[float])(ys)
 
-    def gradient(self, y: Vector) -> Vector:
-        """A subgradient of the loss at ``y`` (scalar derivative at d=1)."""
+    def gradient(self, y: float) -> float:
+        """The derivative (a subgradient where there is a kink) of the loss at ``y``."""
         f = self.family
         if f == "squared":
-            return y - self.y_star if type(y) is float else _residual_grad(self.y_star, y)
+            return y - self.y_star
         if f == "linear":
             return -self.y_star
         if f == "p_norm":
-            r = _residual(self.y_star, y)  # y* - y
-            n = vnorm(r)
+            r = self.y_star - y
+            n = abs(r)
             if n == 0.0:
-                return 0.0 if _is_scalar(y) else np.zeros_like(np.asarray(y, dtype=float))
+                return 0.0
             scale = self.p * n ** (self.p - 2.0)
             return -scale * r
         if f == "modified_least_squares":
-            m = 1.0 - self.y_star * _as_scalar(y)
+            m = 1.0 - self.y_star * y
             return -self.y_star * m if m > 0 else 0.0
         if f == "logistic":
-            return -self.y_star * _sigmoid(-self.y_star * _as_scalar(y))
+            return -self.y_star * _sigmoid(-self.y_star * y)
         raise ValueError(f"unknown loss family: {f}")
-
-
-def _is_scalar(y) -> bool:
-    return not isinstance(y, np.ndarray)
-
-
-def _as_scalar(y) -> float:
-    if isinstance(y, np.ndarray):
-        if y.shape != (1,):
-            raise ValueError(f"scalar loss family got vector of shape {y.shape}")
-        return float(y[0])
-    return float(y)
-
-
-def _residual(y_star, y):
-    if _is_scalar(y):
-        return y_star - y
-    return np.asarray(y_star, dtype=float) - y
-
-
-def _residual_grad(y_star, y):
-    if isinstance(y, np.ndarray):
-        return y - y_star
-    return float(y) - y_star
 
 
 @dataclass(frozen=True, slots=True)
@@ -169,20 +138,11 @@ class LossClass:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown loss family: {self.family!r} (choose from {FAMILIES})")
-        if self.family == "p_norm" and self.p < 2:
-            raise ValueError(f"p_norm requires p >= 2, got {self.p}")
+        if self.family == "p_norm" and not (math.isfinite(self.p) and self.p >= 2):
+            raise ValueError(f"p_norm requires a finite p >= 2, got {self.p}")
 
-    def make(self, y_star) -> LossInstance:
+    def make(self, y_star: float) -> LossInstance:
         lo, hi = self.label_range
-        if isinstance(y_star, np.ndarray):
-            # vector labels: the distance-based families are d-dimensional
-            if self.family not in ("squared", "p_norm"):
-                raise ValueError(f"{self.family} loss takes scalar labels")
-            if not np.all(np.isfinite(y_star)):
-                raise ValueError("non-finite label vector")
-            if np.any(y_star < lo - 1e-12) or np.any(y_star > hi + 1e-12):
-                raise ValueError(f"label components outside declared range [{lo}, {hi}]")
-            return LossInstance(self.family, y_star, self.p)
         if not math.isfinite(y_star):
             raise ValueError(f"non-finite label: {y_star!r}")
         if y_star < lo - 1e-12 or y_star > hi + 1e-12:

@@ -392,59 +392,6 @@ class TestGreedyOffsets:
                    for i, s in enumerate(singles))
 
 
-class TestVectorPredictions:
-    """d = 2 path: vector learners, vector labels, squared loss."""
-
-    class RotatingArm:
-        deterministic = True
-        output_bound = 1.0
-
-        def __init__(self, phase):
-            self.phase = phase
-
-        def predict(self, x):
-            a = self.phase + 0.1 * x.eid
-            return np.array([math.cos(a), math.sin(a)]) * 0.8
-
-        def update(self, x, fb):
-            assert isinstance(fb, np.ndarray)
-
-    def _vector_stream(self, rounds):
-        lc = LossClass("squared")
-        rng = np.random.default_rng(23)
-        for t in range(rounds):
-            label = rng.uniform(-0.5, 0.5, size=2)
-            yield Example({0: 1.0}, None, eid=t), lc.make(label)
-
-    def test_span_booster_runs_in_two_dimensions(self):
-        arms = [self.RotatingArm(p) for p in (0.0, 1.0, 2.0)]
-        b = SpanBooster(SQ, arms, eta=0.5)
-        for ex, loss in self._vector_stream(100):
-            y, tr = b.predict(ex)
-            assert isinstance(y, np.ndarray) and y.shape == (2,)
-            assert all(np.linalg.norm(np.atleast_1d(s)) <= b.radius + 1e-9
-                       for s in tr.partial_sums)
-            fbs = b.update(ex, tr, loss)
-            assert all(np.linalg.norm(np.atleast_1d(f)) <= 1.0 + 1e-9 for f in fbs)
-            assert all(0.0 <= s <= 1.0 for s in b.shrink)
-
-    def test_hull_booster_runs_in_two_dimensions(self):
-        arms = [self.RotatingArm(p) for p in (0.5, 1.5)]
-        b = HullBooster(SQ, arms)
-        for ex, loss in self._vector_stream(50):
-            y, tr = b.predict(ex)
-            val = loss.evaluate(y)
-            assert np.isscalar(val) and val >= 0.0
-            b.update(ex, tr, loss)
-
-    def test_vector_label_validation(self):
-        lc = LossClass("squared")
-        with pytest.raises(ValueError):
-            lc.make(np.array([0.5, 1.5]))
-        with pytest.raises(ValueError):
-            LossClass("logistic").make(np.array([0.5, 0.5]))
-
-
 class TestDeterminism:
     def test_two_runs_identical(self):
         pool = make_region_pool(6)

@@ -77,6 +77,14 @@ class TestValidation:
         assert f"config error: {argv[0]} " in err
         assert not list(tmp_path.iterdir())  # rejected before any run
 
+    @pytest.mark.parametrize("p", ["inf", "nan"])
+    def test_nonfinite_pnorm_exponent_exits_config(self, capsys, tmp_path, p):
+        code, out, err = _run(["run", "--rounds", "50", "--loss", f"p-norm:{p}",
+                               "--out-dir", str(tmp_path)], capsys)
+        assert code == EXIT_CONFIG
+        assert err == f"config error: --loss: p_norm requires a finite p >= 2, got {p}\n"
+        assert not list(tmp_path.iterdir())  # rejected before any run
+
     @pytest.mark.parametrize("argv", [
         ["batch-compare", "--magnet-junk", "nan"], ["batch-compare", "--magnet-junk", "inf"],
         ["batch-compare", "--norm1", "-1"], ["batch-compare", "--norm1", "nan"],
@@ -291,6 +299,14 @@ class TestModeFlags:
             "run", "--data", str(tmp_path / "nope.svm"), "--out-dir", str(tmp_path)],
             capsys)
         assert code == 3
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--rounds", "50", "--stages", "2", "--loss", "p-norm:1e9"],
+        ["batch-compare", "--stages", "3", "--magnet-junk", "1e200"]])
+    def test_float_overflow_exits_runtime(self, capsys, tmp_path, argv):
+        code, out, err = _run([*argv, "--out-dir", str(tmp_path)], capsys)
+        assert code == 3
+        assert err.startswith("error: OverflowError: ") and err.count("\n") == 1
 
 
 class TestRunFlagCombinations:

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from ogboost.core import project_to_ball
-from ogboost.losses import LossClass, bisect_ball_radius, parse_loss_flag
+from ogboost.losses import FAMILIES, LossClass, bisect_ball_radius, parse_loss_flag
 
 ALL_FAMILIES = [
     LossClass("linear"),
@@ -222,3 +222,9 @@ class TestLossFlagParsing:
             LossClass("squared").make(1.5)
         with pytest.raises(ValueError):
             LossClass("squared", label_range=(0.0, 1.0)).make(-0.1)
+
+    def test_vector_label_validation(self):
+        # labels are scalars: every family refuses a label vector
+        for family in FAMILIES:
+            with pytest.raises(TypeError):
+                LossClass(family).make(np.array([0.5, 0.5]))

@@ -5,11 +5,15 @@ Usage: python3 tools/mutation_probe.py [--only NAME_PART ...] [--baseline]
 The probe first copies ``src/``, ``tests/`` and ``pyproject.toml`` once into
 a snapshot in a temporary directory.  Each mutation replaces one exact code
 fragment in a fresh copy of that snapshot.  The test suite then runs in that
-copy without ``tests/test_golden.py``, and the probe prints the tests that
-failed, one row per mutation.  The golden digests are left out because any
-change to the arithmetic fails them, so they cannot show which behaviour a
-mutation breaks.  A fragment that does not occur exactly once in its file
-stops the probe: the list below must follow the code it names.
+copy without ``tests/test_golden.py`` and ``tests/test_mutation_probe.py``,
+and the probe prints the tests that failed, one row per mutation.  The
+golden digests are left out because any change to the arithmetic fails
+them, so they cannot show which behaviour a mutation breaks; the second
+file fails on every mutated copy, as it checks this list against the code.
+A fragment that does not occur exactly once in its file stops the probe:
+the list below must follow the code it names, and
+``tests/test_mutation_probe.py`` checks in every run of the suite that it
+does.
 ``--baseline`` first runs the unmutated copy, which should fail nothing.
 The repository itself is never modified, and edits made to it while the
 probe runs do not reach the copies.
@@ -46,9 +50,13 @@ MUTATIONS = [
              "self.stage_weights = [2.0 / (i + 2)", "self.stage_weights = [1.0 / (i + 2)"),
     Mutation("span shrink step with its sign flipped", "src/ogboost/boosting.py",
              "s = shrink[i] + alpha * (grad * y_prev)", "s = shrink[i] - alpha * (grad * y_prev)"),
+    Mutation("span clamp at 2 x radius", "src/ogboost/boosting.py",
+             "radius = self.radius", "radius = 2.0 * self.radius"),
     Mutation("stage feedback halved", "src/ogboost/boosting.py",
              "feedbacks = [grad / lip for grad in grads]",
              "feedbacks = [grad / (2 * lip) for grad in grads]"),
+    Mutation("p-norm gradient exponent p - 2 -> p - 1", "src/ogboost/losses.py",
+             "n ** (self.p - 2.0)", "n ** (self.p - 1.0)"),
     Mutation("Hedge rate x 10", "src/ogboost/learners.py",
              "return math.sqrt(8.0 * math.log(max(pool_size, 2)) / max(horizon, 1))",
              "return 10.0 * math.sqrt(8.0 * math.log(max(pool_size, 2)) / max(horizon, 1))"),
@@ -108,7 +116,7 @@ def _run_suite(copy: Path) -> tuple[list[str], str]:
     """(ids of the tests that failed or errored, pytest's summary line)."""
     env = {**os.environ, "PYTHONPATH": str(copy / "src")}
     cmd = [sys.executable, "-m", "pytest", "-q", "-rfE", "-p", "no:cacheprovider",
-           "tests", "--ignore=tests/test_golden.py"]
+           "tests", "--ignore=tests/test_golden.py", "--ignore=tests/test_mutation_probe.py"]
     out = subprocess.run(cmd, cwd=copy, env=env, capture_output=True, text=True,
                          timeout=RUN_TIMEOUT_S).stdout
     summary = _SUMMARY.findall(out)
