@@ -17,17 +17,15 @@ from .learners import (
 )
 from .boosting import HullBooster, SpanBooster, auto_eta, scale_wrap
 from .batch import (
-    BatchIterate,
     BatchObjective,
     BatchTrace,
     FunctionDictionary,
     base_argmin,
     bound_gated,
     bound_ungated,
-    gated_step,
+    greedy_step,
     make_planted_batch_problem,
     run_batch,
-    ungated_step,
 )
 from .bench import (
     ComparatorSpec,

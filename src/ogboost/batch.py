@@ -1,8 +1,8 @@
 """Batch greedy stagewise fitting over a finite dictionary.
 
-Minimizes a convex batch functional ell(f) = (1/m) sum_j ell_j(f(x_j))
+Minimizes the squared-loss batch functional ell(f) = (1/2m) sum_j (f(x_j) - y_j)^2
 over the span of a finite, symmetric dictionary (closed under negation,
-containing zero).  Two step rules are compared:
+containing zero).  ``greedy_step`` takes one step of either rule:
 
 * ungated:  f_i = f_{i-1} + eta_i * g_i
 * gated:    f_i = (1 - sigma_i * eta_i) * f_{i-1} + eta_i * g_i,
@@ -11,9 +11,10 @@ containing zero).  Two step rules are compared:
 where g_i is the exact dictionary argmin of ell(f_{i-1} + eta_i * g).
 The gate shrinks the iterate multiplicatively whenever it is anti-aligned
 with the descent direction, which turns the ungated rule's harmonic
-error decay into a geometric one.  ``run_batch`` traces the optimization
-error against a planted comparator together with both theoretical bound
-curves.
+error decay into a geometric one; the span booster's per-stage shrinkage
+s_i is its online form.  ``run_batch`` sums the step sizes, and traces the
+optimization error against a planted comparator together with both
+theoretical bound curves.
 
 Functions are represented by their value vectors on the batch points; the
 function-space norm is the RMS over the batch, under which the squared
@@ -25,11 +26,9 @@ Everything here is pure batch computation and reentrant.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-
-from .losses import LossClass
 
 
 class FunctionDictionary:
@@ -48,7 +47,6 @@ class FunctionDictionary:
         rms = np.sqrt((atoms**2).mean(axis=1))
         if np.any(rms > 1.0 + 1e-9):
             raise ValueError(f"atom RMS norms must be <= 1, max is {rms.max():.6g}")
-        self.atoms = atoms
         self.rows = np.vstack([np.zeros((1, m)), atoms, -atoms])
 
     def __len__(self) -> int:
@@ -61,16 +59,13 @@ class FunctionDictionary:
 
 @dataclass
 class BatchObjective:
-    """Convex functional defined by a fixed batch and a pointwise loss."""
+    """Squared-loss functional ell(f) = (1/2m) sum_j (f_j - y_j)^2 on a fixed batch."""
 
     labels: np.ndarray
-    loss_class: LossClass
-    smoothness: float = 1.0
+    smoothness = 1.0  # squared loss is 1-smooth under the RMS norm
 
     def __post_init__(self):
         self.labels = np.asarray(self.labels, dtype=float)
-        if self.loss_class.family != "squared":
-            raise ValueError("batch fitting currently supports the squared family")
 
     def value(self, f_values: np.ndarray) -> float:
         d = f_values - self.labels
@@ -81,55 +76,32 @@ class BatchObjective:
         d = rows - self.labels
         return 0.5 * np.einsum("ij,ij->i", d, d) / len(self.labels)
 
-    def gradient(self, f_values: np.ndarray) -> np.ndarray:
-        """Pointwise loss derivatives at the batch points."""
-        return f_values - self.labels
-
     def grad_pairing(self, f_values: np.ndarray, g_values: np.ndarray) -> float:
         """Functional inner product grad(f) . g = (1/m) sum_j ell_j'(f_j) g_j."""
-        return float(self.gradient(f_values) @ g_values) / len(self.labels)
-
-
-@dataclass
-class BatchIterate:
-    """Stagewise iterate: the function's values at the batch points."""
-
-    values: np.ndarray
-    s: float = 1.0  # cumulative step sum, s_0 = 1
-
-    @staticmethod
-    def zero(dictionary: FunctionDictionary) -> "BatchIterate":
-        return BatchIterate(np.zeros(dictionary.n_points), 1.0)
+        return float((f_values - self.labels) @ g_values) / len(self.labels)
 
 
 def base_argmin(objective: BatchObjective, dictionary: FunctionDictionary,
                 f_values: np.ndarray, eta: float) -> int:
     """Exact dictionary argmin of ell(f + eta * g), ties to the lowest index."""
-    if len(dictionary) == 0:
-        raise ValueError("empty dictionary")
     candidates = f_values[None, :] + eta * dictionary.rows
     vals = objective.value_rows(candidates)
     return int(np.argmin(vals))
 
 
-def ungated_step(objective: BatchObjective, dictionary: FunctionDictionary,
-                 it: BatchIterate, eta: float) -> BatchIterate:
-    """One greedy step without shrinkage."""
-    if eta < 0:
-        raise ValueError("step size must be >= 0")
-    j = base_argmin(objective, dictionary, it.values, eta)
-    return BatchIterate(it.values + eta * dictionary.rows[j], it.s + eta)
+def greedy_step(objective: BatchObjective, dictionary: FunctionDictionary,
+                f_values: np.ndarray, eta: float, gated: bool) -> np.ndarray:
+    """The iterate's values after one greedy step of size eta, gated or not.
 
-
-def gated_step(objective: BatchObjective, dictionary: FunctionDictionary,
-               it: BatchIterate, eta: float) -> BatchIterate:
-    """One greedy step with the alignment-gated shrinkage."""
-    if not (0.0 <= eta <= 1.0):
-        raise ValueError("gated step size must lie in [0, 1]")
-    j = base_argmin(objective, dictionary, it.values, eta)
-    sigma = 1.0 if objective.grad_pairing(it.values, it.values) >= 0.0 else 0.0
-    keep = 1.0 - sigma * eta
-    return BatchIterate(keep * it.values + eta * dictionary.rows[j], it.s + eta)
+    sigma is 1 only for the gated rule and only when grad(f) . f >= 0, so the
+    ungated step keeps f whole: its factor 1 - 0 * eta is exactly 1.
+    """
+    top = 1.0 if gated else math.inf  # the gate's factor 1 - eta must stay in [0, 1]
+    if not 0.0 <= eta <= top:
+        raise ValueError(f"step size must lie in [0, {top}], got {eta}")
+    j = base_argmin(objective, dictionary, f_values, eta)
+    sigma = 1.0 if gated and objective.grad_pairing(f_values, f_values) >= 0.0 else 0.0
+    return (1.0 - sigma * eta) * f_values + eta * dictionary.rows[j]
 
 
 def bound_ungated(delta0: float, s: np.ndarray, etas: np.ndarray, norm1: float,
@@ -206,7 +178,7 @@ def make_planted_batch_problem(n_atoms: int = 8, norm1: float = 2.0, n_points: i
     weights = raw / raw.sum() * norm1
     comparator_values = weights @ basis[:n_signal]
 
-    objective = BatchObjective(comparator_values.copy(), LossClass("squared"))
+    objective = BatchObjective(comparator_values.copy())
     return objective, dictionary, comparator_values, norm1
 
 
@@ -216,9 +188,9 @@ class BatchTrace:
 
     variant: str
     delta0: float
-    deltas: np.ndarray = field(default_factory=lambda: np.array([]))
-    s: np.ndarray = field(default_factory=lambda: np.array([]))
-    bound: np.ndarray = field(default_factory=lambda: np.array([]))
+    deltas: np.ndarray
+    s: np.ndarray
+    bound: np.ndarray
 
     def first_crossing(self, threshold: float) -> int | None:
         """1-based stage at which the error first drops below threshold."""
@@ -234,23 +206,24 @@ def run_batch(objective: BatchObjective, dictionary: FunctionDictionary,
     ``comparator_values`` are the planted comparator's values on the batch
     points and ``norm1`` its declared 1-norm; the optimization error at
     stage i is ell(f_i) - ell(comparator).  ``variant`` is "ungated" or
-    "gated".
+    "gated".  The iterate starts at f_0 = 0 with step sum s_0 = 1, and
+    s_i = s_{i-1} + eta_i.
     """
-    rules = {"ungated": (ungated_step, bound_ungated), "gated": (gated_step, bound_gated)}
-    if variant not in rules:
+    if variant not in ("ungated", "gated"):
         raise ValueError(f"unknown variant {variant!r} (choose ungated or gated)")
-    step, bound = rules[variant]
+    gated = variant == "gated"
     etas = np.asarray(list(schedule), dtype=float)
     comp_loss = objective.value(np.asarray(comparator_values, dtype=float))
 
-    it = BatchIterate.zero(dictionary)
-    delta0 = objective.value(it.values) - comp_loss
+    f = np.zeros(dictionary.n_points)
+    delta0 = objective.value(f) - comp_loss
     deltas = np.empty(len(etas))
-    svals = np.empty(len(etas) + 1)
-    svals[0] = it.s
-    for i, eta in enumerate(etas):
-        it = step(objective, dictionary, it, float(eta))
-        svals[i + 1] = it.s
-        deltas[i] = objective.value(it.values) - comp_loss
-    return BatchTrace(variant, delta0, deltas, svals,
-                      bound(delta0, svals, etas, norm1, objective.smoothness))
+    s = np.empty(len(etas) + 1)
+    s[0] = 1.0
+    for i, eta in enumerate(etas.tolist()):
+        f = greedy_step(objective, dictionary, f, eta, gated)
+        s[i + 1] = s[i] + eta
+        deltas[i] = objective.value(f) - comp_loss
+    bound = bound_gated if gated else bound_ungated
+    return BatchTrace(variant, delta0, deltas, s,
+                      bound(delta0, s, etas, norm1, objective.smoothness))

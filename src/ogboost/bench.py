@@ -7,8 +7,9 @@ CSR columns of int64 feature ids, float64 values and float64 labels, from
 which each ``Example`` is built when it is read, so a stream holds 16
 bytes per nonzero and 16 per example rather than a dict per example.
 Sources are files (svmlight-style text or headered CSV, labels affinely
-rescaled into a declared range) or seeded synthetic generators, which
-check their columns once, vectorized over chunks of rows:
+rescaled into a declared range, parsed as squared-loss streams whose
+examples a caller may bind to another family) or seeded synthetic
+generators, which check their columns once, vectorized over chunks of rows:
 
 * planted span / convex-hull streams over a small region pool, used to
   check the boosters' regret bounds against a comparator with known
@@ -19,11 +20,12 @@ check their columns once, vectorized over chunks of rows:
 * an additive stream whose target is a sum of per-feature components,
   used to measure the boosting gain over a single stump.
 
-The offline convex-hull comparator is defined for squared loss only: an
-exact active-set QP on the pool's Gram matrix, certified by its duality
-gap.  ``progressive_validate`` scores strictly test-then-train and can
-account per-stage realized linear regret against a committee of
-functions, which the regret-bound evaluators consume.
+A ``ComparatorSpec`` is a reference predictor's per-round values with its
+kind and declared 1-norm.  The offline convex-hull comparator is defined
+for squared loss only: an exact active-set QP on the pool's Gram matrix,
+certified by its duality gap.  ``progressive_validate`` scores strictly
+test-then-train and can account per-stage realized linear regret against
+a committee of functions, which the regret-bound evaluators consume.
 
 Stream iteration is single-consumer; independent (seed, config) runs can
 execute in parallel workers, each owning its booster and metrics.
@@ -33,7 +35,7 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -131,8 +133,6 @@ class Stream:
 
     examples: list[Example] | ExampleColumns
     loss_class: LossClass
-    source: str = "synthetic"
-    meta: dict = field(default_factory=dict)
 
     def __len__(self) -> int:
         return len(self.examples)
@@ -160,7 +160,6 @@ class ComparatorSpec:
 
     kind: str
     values: np.ndarray
-    coefficients: np.ndarray | None = None
     norm1: float = 1.0
 
     def losses(self, stream: Stream) -> np.ndarray:
@@ -178,7 +177,7 @@ class ComparatorSpec:
 
 
 def zero_comparator(length: int) -> ComparatorSpec:
-    return ComparatorSpec("zero", np.zeros(length), None, 1.0)
+    return ComparatorSpec("zero", np.zeros(length))
 
 
 # ---------------------------------------------------------------------------
@@ -308,9 +307,9 @@ def _numbered_lines(fh, start: int = 1):
     return enumerate((s for line in fh for s in line.splitlines()), start=start)
 
 
-def parse_stream(path: str | Path, fmt: str, label_range: tuple[float, float] = (-1.0, 1.0),
-                 loss_class: LossClass | None = None) -> Stream:
-    """Parse a dataset file into a stream.
+def parse_stream(path: str | Path, fmt: str,
+                 label_range: tuple[float, float] = (-1.0, 1.0)) -> Stream:
+    """Parse a dataset file into a squared-loss stream.
 
     Labels are affinely rescaled so the observed [min, max] maps onto
     ``label_range`` (idempotent when the data already fills the range).
@@ -327,8 +326,6 @@ def parse_stream(path: str | Path, fmt: str, label_range: tuple[float, float] = 
     path = Path(path)
     if fmt not in ("libsvm", "csv"):
         raise StreamFormatError(f"unknown format {fmt!r} (choose libsvm or csv)")
-    if loss_class is None:
-        loss_class = LossClass("squared", label_range=label_range)
 
     labels: list[float] = []
     ids, values, indptr = array("q"), array("d"), array("q", [0])
@@ -398,8 +395,7 @@ def parse_stream(path: str | Path, fmt: str, label_range: tuple[float, float] = 
         raise StreamFormatError(f"{path}:{ln}: non-finite label: {labels[i]!r}")
     columns = ExampleColumns(np.frombuffer(indptr, np.int64), np.frombuffer(ids, np.int64),
                              np.frombuffer(values, np.float64), labels)
-    return Stream(columns, loss_class, source=str(path),
-                  meta={"format": fmt, "label_range": label_range})
+    return Stream(columns, LossClass("squared", label_range=label_range))
 
 
 # ---------------------------------------------------------------------------
@@ -471,9 +467,8 @@ def _planted_stream(pool: RegionPool, weights: np.ndarray, noise_sigma: float, r
         label_col[t] = min(max(label, lo), hi)
     columns = ExampleColumns(np.arange(0, 2 * rounds + 1, 2),
                              np.tile([_REGION_FID, _VALUE_FID], rounds), values, labels)
-    return (Stream(columns.validate(), loss_class, source=f"synthetic:{kind}",
-                   meta={"seed": seed, "noise_sigma": noise_sigma}),
-            ComparatorSpec(kind, comp_values, weights, max(1.0, float(np.abs(weights).sum()))))
+    return (Stream(columns.validate(), loss_class),
+            ComparatorSpec(kind, comp_values, max(1.0, float(np.abs(weights).sum()))))
 
 
 def planted_span_stream(pool: RegionPool, weights, noise_sigma: float, rounds: int, seed: int,
@@ -525,9 +520,7 @@ def make_additive_stream(rounds: int, seed: int, n_signal: int = 5, n_noise: int
                                 + noise_sigma * noise.standard_normal(hi - lo), -1.0, 1.0)
         np.compress(present.ravel(), row_ids, out=ids[indptr[lo]:indptr[hi]])
         np.compress(present.ravel(), vals, out=values[indptr[lo]:indptr[hi]])
-    return Stream(ExampleColumns(indptr, ids, values, labels).validate(), LossClass("squared"),
-                  source="synthetic:additive",
-                  meta={"seed": seed, "n_signal": n_signal, "n_noise": n_noise})
+    return Stream(ExampleColumns(indptr, ids, values, labels).validate(), LossClass("squared"))
 
 
 def make_lower_bound_stream(stages: int, rounds: int | None, seed: int,
@@ -557,11 +550,7 @@ def make_lower_bound_stream(stages: int, rounds: int | None, seed: int,
     # example t has the single feature {0: t + 1}
     columns = ExampleColumns(np.arange(rounds + 1), np.zeros(rounds, dtype=np.int64),
                              np.arange(1.0, rounds + 1.0), labels)
-    stream = Stream(columns.validate(), LossClass("squared", label_range=(0.0, 1.0)),
-                    source="synthetic:lower_bound",
-                    meta={"seed": seed, "eps": eps, "p1": p1, "p2": p2,
-                          "pool_size": m, "pool_scale": pool_scale})
-    return stream, pool
+    return Stream(columns.validate(), LossClass("squared", label_range=(0.0, 1.0))), pool
 
 
 def uniform_pool_comparator(stream: Stream, pool: LowerBoundPool) -> ComparatorSpec:
@@ -578,7 +567,7 @@ def uniform_pool_comparator(stream: Stream, pool: LowerBoundPool) -> ComparatorS
     values = pool.recorded_means(eids)
     for i in np.flatnonzero(np.isnan(values)).tolist():
         values[i] = pool.mean_value(examples[i])
-    return ComparatorSpec("uniform_pool_mean", values, None, 1.0)
+    return ComparatorSpec("uniform_pool_mean", values)
 
 
 # ---------------------------------------------------------------------------
@@ -659,12 +648,11 @@ def _simplex_qp(G: np.ndarray, b: np.ndarray, tol: float) -> np.ndarray:
     return w
 
 
-def best_convex_hull_oracle(stream: Stream, pool: FunctionPool
-                            ) -> tuple[np.ndarray, float, np.ndarray]:
+def best_convex_hull_oracle(stream: Stream, pool: FunctionPool) -> tuple[np.ndarray, np.ndarray]:
     """Best fixed convex combination of pool members, in hindsight, for squared loss.
 
-    Returns the weights w, the stream's total loss under them and their
-    per-round values V @ w, with V the T x M matrix of pool values.
+    Returns the weights w and their per-round values V @ w, with V the
+    T x M matrix of pool values.
 
     The total is ||Vw - y||^2 / 2, a QP in M <= 64 variables.  It is solved
     exactly on G = V'V and b = V'y by an active-set method, and w is
@@ -691,14 +679,12 @@ def best_convex_hull_oracle(stream: Stream, pool: FunctionPool
     if not gap <= tol:
         raise RuntimeError(f"hull oracle not certified: duality gap {gap:.3e} "
                            f"exceeds the tolerance {tol:.3e}")
-    values = V @ w
-    return w, ComparatorSpec("best_convex_hull", values, w).total_loss(stream), values
+    return w, V @ w
 
 
 def hull_comparator(stream: Stream, pool: FunctionPool) -> ComparatorSpec:
     """Convex-hull oracle packaged as a comparator spec."""
-    w, _, values = best_convex_hull_oracle(stream, pool)
-    return ComparatorSpec("best_convex_hull", values, w, 1.0)
+    return ComparatorSpec("best_convex_hull", best_convex_hull_oracle(stream, pool)[1])
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,11 @@ takes the round's partial sums y^0 .. y^{N-1} as offsets, plus the true
 loss, in place of the feedbacks.  A booster finds out from its committee's
 ``greedy_offsets`` marker which update it takes.
 
+A booster keeps what its rounds and the regret-bound evaluators read: the
+committee, the span booster's step size and working radius, and the
+ball's Lipschitz and smoothness constants.  The loss family, the output
+bound and the deterministic mode are read once, by the constructor.
+
 A booster instance owns its learners and is single-threaded; independent
 instances may run in parallel.
 """
@@ -133,9 +138,6 @@ class SpanBooster(_BoosterBase):
         n = self.stages
         self.eta = auto_eta(n) if eta is None else float(eta)
         _check_eta(self.eta, n)
-        self.loss_class = loss_class
-        self.output_bound = output_bound
-        self.deterministic_mode = deterministic_mode
         if deterministic_mode:
             if not all(getattr(c, "deterministic", False) for c in self.learners):
                 raise ValueError("deterministic_mode requires deterministic base learners")
@@ -192,8 +194,6 @@ class HullBooster(_BoosterBase):
 
     def __init__(self, loss_class: LossClass, learners: list, output_bound: float = 1.0):
         super().__init__(learners)
-        self.loss_class = loss_class
-        self.output_bound = output_bound
         params = loss_class.ball_params(output_bound)
         if params.lipschitz <= 0:
             raise ValueError("loss family has zero Lipschitz constant on the output ball")

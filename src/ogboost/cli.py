@@ -166,12 +166,9 @@ def build_stream(cfg: RunConfig):
     loss_class = losses.parse_loss_flag(cfg.loss)
     if cfg.data is not None:
         label_range = _LABEL_RANGES[cfg.label_range]
+        examples = bench.parse_stream(cfg.data, cfg.format, label_range).examples
         loss_class = losses.LossClass(loss_class.family, loss_class.p, label_range)
-        stream = bench.parse_stream(cfg.data, cfg.format, label_range, loss_class)
-        if len(stream) > cfg.rounds:
-            stream = bench.Stream(stream.examples[:cfg.rounds], loss_class,
-                                  stream.source, stream.meta)
-        return stream, None, None
+        return bench.Stream(examples[:cfg.rounds], loss_class), None, None
     kind = "planted-span" if cfg.synthetic == "planted" else cfg.synthetic
     if kind == "additive":
         stream = bench.make_additive_stream(cfg.rounds, cfg.seed, noise_sigma=cfg.noise)
@@ -209,15 +206,18 @@ def execute_run(cfg: RunConfig) -> dict:
     stage, committee = build_learners(cfg, stream, pool)
     eta = None if cfg.eta == "auto" else float(cfg.eta)
     output_bound = stage.output_bound
-    if cfg.algo == "span":
-        booster = boosting.SpanBooster(stream.loss_class, stage, eta, output_bound,
-                                       deterministic_mode=cfg.corollary_mode)
-    else:
-        booster = boosting.HullBooster(stream.loss_class, stage, output_bound)
-    if cfg.base == "greedy":  # the offsets are partial sums, which stay in the booster's ball
-        offset_bound = booster.radius if cfg.algo == "span" else output_bound
-        params = stream.loss_class.ball_params(offset_bound + 1.0)  # plus a unit step's reach
-        learners.greedy_adapter(stage, len(stream), params, offset_bound)
+    try:  # a loss family's ball constants can overflow a float, e.g. p-norm at a huge p
+        if cfg.algo == "span":
+            booster = boosting.SpanBooster(stream.loss_class, stage, eta, output_bound,
+                                           deterministic_mode=cfg.corollary_mode)
+        else:
+            booster = boosting.HullBooster(stream.loss_class, stage, output_bound)
+        if cfg.base == "greedy":  # the offsets are partial sums, which stay in the booster's ball
+            offset_bound = booster.radius if cfg.algo == "span" else output_bound
+            params = stream.loss_class.ball_params(offset_bound + 1.0)  # plus a unit step's reach
+            learners.greedy_adapter(stage, len(stream), params, offset_bound)
+    except OverflowError as e:
+        raise ConfigError([f"--loss {cfg.loss}: {e}"]) from None
     metrics = bench.progressive_validate(stream, booster, cfg.split, comparator=comp,
                                          committee=committee)
 
@@ -385,19 +385,19 @@ def execute_grid(args) -> dict:
         algo=args.algo, loss=args.loss, base=args.base, synthetic=args.synthetic,
         rounds=args.rounds, seed=args.seed, split=args.split, out_dir=args.out_dir,
         norm1=args.norm1, noise=args.noise)
-    errs = base.validate()
-    if errs:
-        raise ConfigError(errs)
     children = []
     for lr in args.grid_lr:
         for stages in args.grid_stages:
             for eta in args.grid_eta:
                 cfg = RunConfig(**{**asdict(base), "lr": lr, "stages": stages, "eta": eta,
                                    "tag": f"grid-lr{lr}-n{stages}-e{eta}-s{args.seed}"})
-                child_errs = cfg.validate()
-                if child_errs:
-                    raise ConfigError(child_errs)
+                if errs := cfg.validate():
+                    raise ConfigError(errs)
                 children.append(asdict(cfg))
+    # an empty tuning half leaves every tune_loss NaN, and the winner undefined
+    if int(args.split * args.rounds) < 1:
+        raise ConfigError([f"--split {args.split} leaves no tuning round of --rounds "
+                           f"{args.rounds}; it must be at least 1/rounds"])
     if args.workers > 1:
         with ProcessPoolExecutor(max_workers=args.workers) as ex:
             results = list(ex.map(_grid_child, children))
@@ -517,11 +517,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "run":
             cfg = RunConfig(**{k.replace("-", "_"): v for k, v in vars(args).items()
                                if k != "command"})
-            errs = cfg.validate()
-            if errs:
-                for e in errs:
-                    print(f"config error: {e}", file=sys.stderr)
-                return EXIT_CONFIG
+            if errs := cfg.validate():
+                raise ConfigError(errs)
             summary = execute_run(cfg)
         elif args.command == "batch-compare":
             summary = execute_batch_compare(args)

@@ -716,12 +716,11 @@ class GreedyFitLearner:
 
 
 def greedy_adapter(fitter: GreedyFitLearner, horizon: int, smooth_params: BallParams,
-                   offset_bound: float, regret_model: str = "sqrt",
-                   regret_fn: Callable[[int], float] = math.sqrt) -> GreedyFitLearner:
+                   offset_bound: float, regret_model: str = "sqrt") -> GreedyFitLearner:
     """Fix a greedy committee's step size and offset bound in advance; returns it.
 
-    The step size alpha is computed from a regret model R(T) for the
-    fitter:
+    The step size alpha is computed from the fitter's regret R(T) = sqrt(T)
+    under a regret model:
 
       regret_model="sqrt":         alpha = sqrt(2 R(T) / (beta' D^2 T))
       regret_model="alpha-linear": alpha = 2 R(T) / (beta' D^2 T)
@@ -734,7 +733,7 @@ def greedy_adapter(fitter: GreedyFitLearner, horizon: int, smooth_params: BallPa
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     D = fitter.output_bound
-    r = regret_fn(horizon)
+    r = math.sqrt(horizon)
     denom = smooth_params.smoothness * D * D * horizon
     if denom <= 0:
         raise ValueError("smoothness, output bound and horizon must be positive")

@@ -158,8 +158,12 @@ class LossClass:
         if f == "linear":
             return BallParams(b, 1.0, 0.0, 1.0)
         if f == "p_norm":
-            lip = p * (b + 1.0) ** (p - 1.0)
-            smooth = p * (p - 1.0) * (b + 1.0) ** (p - 2.0)
+            try:
+                lip = p * (b + 1.0) ** (p - 1.0)
+                smooth = p * (p - 1.0) * (b + 1.0) ** (p - 2.0)
+            except OverflowError:
+                raise OverflowError(f"p-norm constants at p = {p:g} overflow a float "
+                                    f"on the ball of radius {b:g}") from None
             pen = p * (1.0 - b) ** (p - 1.0) if b < 1.0 else 0.0
             return BallParams(b, lip, smooth, max(pen, 0.0))
         if f == "modified_least_squares":
@@ -198,15 +202,6 @@ class LossClass:
             return min(eta * stages, math.log(4.0 / eta))
         return bisect_ball_radius(self, eta, stages, D)
 
-    def monotone_radius_condition(self, eta: float, D: float):
-        """h(b) = eta*beta_b*b^2 - eps_b*D, nondecreasing for all families here."""
-
-        def h(b: float) -> float:
-            bp = self.ball_params(b)
-            return eta * bp.smoothness * b * b - bp.projection_penalty * D
-
-        return h
-
 
 def _check_eta(eta: float, stages: int) -> None:
     if stages < 1:
@@ -228,7 +223,10 @@ def bisect_ball_radius(
     _check_eta(eta, stages)
     D = output_bound
     cap = eta * stages * D
-    h = loss_class.monotone_radius_condition(eta, D)
+
+    def h(b: float) -> float:  # eta*beta_b*b^2 - eps_b*D, nondecreasing for every family here
+        bp = loss_class.ball_params(b)
+        return eta * bp.smoothness * b * b - bp.projection_penalty * D
 
     grid = np.linspace(D, cap, _PROBE_POINTS) if cap > D else np.array([D])
     vals = [h(float(b)) for b in grid]

@@ -3,18 +3,15 @@
 import numpy as np
 import pytest
 
-from ogboost.losses import LossClass
 from ogboost.batch import (
-    BatchIterate,
     BatchObjective,
     FunctionDictionary,
     base_argmin,
     bound_gated,
     bound_ungated,
-    gated_step,
+    greedy_step,
     make_planted_batch_problem,
     run_batch,
-    ungated_step,
 )
 
 
@@ -27,7 +24,7 @@ def _orthonormal_problem(weights, n_points=64):
         atoms[j, j * width:(j + 1) * width] = np.sqrt(k)
     target = np.asarray(weights) @ atoms
     dic = FunctionDictionary(atoms)
-    obj = BatchObjective(target.copy(), LossClass("squared"))
+    obj = BatchObjective(target.copy())
     return obj, dic, target
 
 
@@ -47,22 +44,20 @@ class TestBaseArgmin:
     def test_exact_fit_selected(self):
         obj, dic, target = _orthonormal_problem([0.0, 0.0, 0.4, 0.0])
         # target is 0.4 * atom 2; with eta = 0.4 stepping that atom fits it
-        it = BatchIterate.zero(dic)
-        j = base_argmin(obj, dic, it.values, 0.4)
+        j = base_argmin(obj, dic, np.zeros(dic.n_points), 0.4)
         assert j == 3  # rows: [0, atoms..., -atoms...]; atom 2 is row 3
 
     def test_symmetric_tie_breaks_to_lowest_index(self):
         # target 0: stepping +g and -g give identical losses; 0-atom wins
         obj, dic, _ = _orthonormal_problem([0.0, 0.0])
-        it = BatchIterate.zero(dic)
-        assert base_argmin(obj, dic, it.values, 0.1) == 0
+        assert base_argmin(obj, dic, np.zeros(dic.n_points), 0.1) == 0
 
     def test_matches_independent_recomputation(self):
         rng = np.random.default_rng(3)
         atoms = rng.uniform(-0.5, 0.5, size=(8, 40))
         dic = FunctionDictionary(atoms)
         target = rng.uniform(-1, 1, 40)
-        obj = BatchObjective(target, LossClass("squared"))
+        obj = BatchObjective(target)
         f = rng.uniform(-0.3, 0.3, 40)
         for eta in (0.05, 0.3):
             j = base_argmin(obj, dic, f, eta)
@@ -75,50 +70,48 @@ class TestBaseArgmin:
 
 class TestSteps:
     def test_zero_step_is_identity(self):
-        obj, dic, _ = _orthonormal_problem([0.3, 0.2])
-        it = BatchIterate.zero(dic)
-        out = ungated_step(obj, dic, it, 0.0)
-        np.testing.assert_array_equal(out.values, it.values)
-        assert out.s == it.s
+        obj, dic, target = _orthonormal_problem([0.3, 0.2])
+        f = np.zeros(dic.n_points)
+        out = greedy_step(obj, dic, f, 0.0, False)
+        np.testing.assert_array_equal(out, f)
+        tr = run_batch(obj, dic, target, 1.0, [0.0], "ungated")
+        np.testing.assert_array_equal(tr.s, [1.0, 1.0])  # a zero step leaves s where it was
 
     def test_never_worse_with_zero_atom(self):
-        rng = np.random.default_rng(5)
         obj, dic, _ = _orthonormal_problem([0.37, -0.21, 0.11, 0.05])
-        it = BatchIterate.zero(dic)
-        prev = obj.value(it.values)
+        f = np.zeros(dic.n_points)
+        prev = obj.value(f)
         for i in range(50):
-            it = ungated_step(obj, dic, it, 0.1)
-            cur = obj.value(it.values)
+            f = greedy_step(obj, dic, f, 0.1, False)
+            cur = obj.value(f)
             assert cur <= prev + 1e-12
             prev = cur
 
     def test_gated_equals_ungated_at_zero_iterate(self):
         obj, dic, _ = _orthonormal_problem([0.3, 0.2])
-        it = BatchIterate.zero(dic)
-        a = ungated_step(obj, dic, it, 0.1)
-        b = gated_step(obj, dic, it, 0.1)
-        np.testing.assert_array_equal(a.values, b.values)
+        f = np.zeros(dic.n_points)
+        a = greedy_step(obj, dic, f, 0.1, False)
+        b = greedy_step(obj, dic, f, 0.1, True)
+        np.testing.assert_array_equal(a, b)
 
     def test_gate_closed_when_aligned(self):
         # iterate undershoots the target: grad . f < 0, gate off
         obj, dic, target = _orthonormal_problem([0.4, 0.0])
-        it = BatchIterate.zero(dic)
-        it = ungated_step(obj, dic, it, 0.1)  # f = 0.1 * atom0, undershoot
-        assert obj.grad_pairing(it.values, it.values) < 0
-        a = ungated_step(obj, dic, it, 0.1)
-        b = gated_step(obj, dic, it, 0.1)
-        np.testing.assert_array_equal(a.values, b.values)
+        f = greedy_step(obj, dic, np.zeros(dic.n_points), 0.1, False)  # 0.1 * atom0, undershoot
+        assert obj.grad_pairing(f, f) < 0
+        a = greedy_step(obj, dic, f, 0.1, False)
+        b = greedy_step(obj, dic, f, 0.1, True)
+        np.testing.assert_array_equal(a, b)
 
     def test_gate_fires_on_overshoot_and_helps(self):
         # f = 2 * target: grad . f = ||target||^2 > 0; shrinking before the
         # step must beat the plain step (closed-form quadratics)
         obj, dic, target = _orthonormal_problem([0.4])
-        it = BatchIterate.zero(dic)
-        f2 = BatchIterate(2.0 * target, 1.0)
-        assert obj.grad_pairing(f2.values, f2.values) > 0
-        plain = ungated_step(obj, dic, f2, 0.1)
-        gated = gated_step(obj, dic, f2, 0.1)
-        assert obj.value(gated.values) < obj.value(plain.values) - 1e-12
+        f2 = 2.0 * target
+        assert obj.grad_pairing(f2, f2) > 0
+        plain = greedy_step(obj, dic, f2, 0.1, False)
+        gated = greedy_step(obj, dic, f2, 0.1, True)
+        assert obj.value(gated) < obj.value(plain) - 1e-12
 
     def test_gate_exactness(self):
         rng = np.random.default_rng(7)
@@ -126,12 +119,17 @@ class TestSteps:
         for _ in range(50):
             f = rng.uniform(-0.5, 0.5, dic.n_points)
             pairing = obj.grad_pairing(f, f)
-            it = BatchIterate(f, 1.0)
-            out = gated_step(obj, dic, it, 0.1)
+            out = greedy_step(obj, dic, f, 0.1, True)
             j = base_argmin(obj, dic, f, 0.1)
             keep = 0.9 if pairing >= 0 else 1.0
-            np.testing.assert_allclose(out.values, keep * f + 0.1 * dic.rows[j],
-                                       atol=1e-12)
+            np.testing.assert_allclose(out, keep * f + 0.1 * dic.rows[j], atol=1e-12)
+
+    @pytest.mark.parametrize("eta, gated", [(-0.1, False), (-0.1, True), (1.5, True),
+                                            (np.nan, True), (np.nan, False)])
+    def test_step_size_out_of_range_rejected(self, eta, gated):
+        obj, dic, _ = _orthonormal_problem([0.3, 0.2])
+        with pytest.raises(ValueError, match="step size must lie in"):
+            greedy_step(obj, dic, np.zeros(dic.n_points), eta, gated)
 
 
 class TestRunBatch:

@@ -310,9 +310,8 @@ class TestParsing:
 class TestLowerBoundStream:
     def test_published_parameters(self):
         stream, pool = make_lower_bound_stream(4, None, seed=0, pool_scale=1 / 50)
-        assert stream.meta["eps"] == pytest.approx(1.0 / 20.0)
-        assert stream.meta["p1"] == pytest.approx(0.55)
-        assert stream.meta["p2"] == pytest.approx(0.45)
+        # labels are 1/2 +- eps with eps = 1/(10 sqrt(4)) = 1/20
+        assert set(stream.labels.tolist()) == {0.55, 0.45}
         assert pool.size == 200
         assert len(stream) == 12 * 200
 
@@ -743,11 +742,17 @@ def _qp_instance(kind, m, rng, rounds=120):
     return V, np.clip(V @ w + rng.normal(0.0, 0.3, rounds), -1.0, 1.0)
 
 
+def _oracle(stream, pool):
+    """The hull oracle's weights, its total loss on the stream and its values."""
+    w, values = best_convex_hull_oracle(stream, pool)
+    return w, ComparatorSpec("best_convex_hull", values).total_loss(stream), values
+
+
 class TestOracles:
     def test_perfect_member_gets_all_weight(self):
         pool = make_region_pool(4)
         stream, _ = planted_span_stream(pool, [1, 0, 0, 0], 0.0, 400, seed=6)
-        w, total, _ = best_convex_hull_oracle(stream, pool)
+        w, total, _ = _oracle(stream, pool)
         assert w[0] == pytest.approx(1.0, abs=1e-3)
         assert total == pytest.approx(0.0, abs=1e-4)
 
@@ -758,7 +763,7 @@ class TestOracles:
         sym_members = [lambda x: pool.values(x)[0], lambda x: -pool.values(x)[0]]
         pair = FunctionPool(sym_members)
         stream, _ = planted_span_stream(pool, [0.6], 0.05, 400, seed=7)
-        _, total, _ = best_convex_hull_oracle(stream, pair)
+        _, total, _ = _oracle(stream, pair)
         grid = np.linspace(0.0, 1.0, 10001)
         best = math.inf
         vals = np.array([pair.values(ex) for ex in stream.examples])
@@ -775,7 +780,7 @@ class TestOracles:
         for m in range(1, 65):
             V, y = _qp_instance(kind, m, rng)
             stream, pool = _matrix_problem(V, y)
-            w, total, values = best_convex_hull_oracle(stream, pool)
+            w, total, values = _oracle(stream, pool)
             assert w.min() >= 0.0 and w.sum() == pytest.approx(1.0, abs=1e-12), (kind, m)
             # the certificate, recomputed from V and y
             grad = V.T @ (V @ w - y)
@@ -790,7 +795,7 @@ class TestOracles:
         rng = np.random.default_rng(20 + m)
         V, y = _qp_instance("random", m, rng, rounds=50)
         stream, pool = _matrix_problem(V, y)
-        w, total, _ = best_convex_hull_oracle(stream, pool)
+        w, total, _ = _oracle(stream, pool)
         h = 1.0 / 200
         ticks = np.arange(201) * h
         grid = np.array([p for p in np.array(np.meshgrid(*[ticks] * (m - 1))).reshape(m - 1, -1).T
@@ -822,7 +827,7 @@ class TestOracles:
         stream, _ = planted_span_stream(pool, [0.4, -0.4, 0.4, -0.4, 0.4, -0.4],
                                         0.05, 800, seed=9)
         sym = pool.symmetrized()  # includes the zero function
-        _, hull_total, _ = best_convex_hull_oracle(stream, sym)
+        _, hull_total, _ = _oracle(stream, sym)
         V = np.array([sym.values(ex) for ex in stream.examples])
         # each member as a comparator (its kind does not enter the loss)
         single_total = min(ComparatorSpec("planted_span", V[:, j]).total_loss(stream)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
+from ogboost.losses import LossClass
 from ogboost.cli import (
     EXIT_BOUNDS,
     EXIT_CONFIG,
@@ -247,6 +248,34 @@ class TestRunArtifacts:
         summary = json.loads((tmp_path / "file.json").read_text())
         assert summary["rounds"] == 120
 
+    @pytest.mark.parametrize("flags, loss_class", [
+        (["--loss", "logistic"], LossClass("logistic")),
+        (["--label-range", "01"], LossClass("squared", label_range=(0.0, 1.0)))])
+    def test_file_run_binds_family_range_and_rounds(self, capsys, tmp_path, flags, loss_class):
+        data = tmp_path / "toy.svm"
+        rng = np.random.default_rng(1)
+        rows = []
+        for _ in range(120):
+            x = rng.uniform(-1, 1, 3)
+            label = 0.7 * x[0] + 0.1 * rng.standard_normal()
+            rows.append(f"{label:.5f} " + " ".join(f"{j + 1}:{v:.5f}" for j, v in enumerate(x)))
+        data.write_text("\n".join(rows) + "\n")
+        code, out, err = _run(["run", "--data", str(data), "--stages", "4", "--base", "stump",
+                               "--rounds", "50", *flags, "--out-dir", str(tmp_path),
+                               "--tag", "file"], capsys)
+        assert code == 0, err
+
+        # the same run through the library, on the file's first 50 rows
+        from ogboost import bench, boosting, learners
+        from ogboost.cli import _write_run_tsv
+        parsed = bench.parse_stream(data, "libsvm", loss_class.label_range)
+        stream = bench.Stream(parsed.examples[:50], loss_class)
+        booster = boosting.SpanBooster(loss_class, learners.stump_committee(4))
+        _write_run_tsv(tmp_path / "library.tsv", bench.progressive_validate(stream, booster))
+        cli_tsv = (tmp_path / "file.tsv").read_text()
+        assert len(cli_tsv.splitlines()) == 51
+        assert cli_tsv == (tmp_path / "library.tsv").read_text()
+
 
 class TestModeFlags:
     def test_symmetrize_and_scale(self, capsys, tmp_path):
@@ -305,8 +334,23 @@ class TestModeFlags:
         ["batch-compare", "--stages", "3", "--magnet-junk", "1e200"]])
     def test_float_overflow_exits_runtime(self, capsys, tmp_path, argv):
         code, out, err = _run([*argv, "--out-dir", str(tmp_path)], capsys)
-        assert code == 3
-        assert err.startswith("error: OverflowError: ") and err.count("\n") == 1
+        if argv[0] == "run":  # the loss family's ball constants overflow: a config error
+            assert code == EXIT_CONFIG
+            assert err.startswith("config error: --loss p-norm:1e9: ") and "radius 1" in err
+            assert err.count("\n") == 1 and not list(tmp_path.iterdir())
+        else:
+            assert code == 3
+            assert err.startswith("error: OverflowError: ") and err.count("\n") == 1
+
+    def test_greedy_ball_overflow_is_config_error(self, capsys, tmp_path):
+        # 700 * 2**699 fits a float on the booster's ball of radius 1; 3**699 on the
+        # greedy adapter's ball of radius 2 does not
+        code, out, err = _run(["run", "--algo", "ch", "--base", "greedy", "--stages", "2",
+                               "--loss", "p-norm:700", "--rounds", "50",
+                               "--out-dir", str(tmp_path)], capsys)
+        assert code == EXIT_CONFIG
+        assert err.startswith("config error: --loss p-norm:700: ") and "radius 2" in err
+        assert not list(tmp_path.iterdir())
 
 
 class TestRunFlagCombinations:
@@ -419,3 +463,20 @@ class TestGrid:
         assert "ties to smaller learning rate" in summary["selection_rule"]
         best = min(summary["children"], key=lambda r: (r["tune_loss"], r["lr"]))
         assert summary["chosen"] == best
+
+    @pytest.mark.parametrize("split", ["0", "0.001"])
+    def test_empty_tuning_half_is_config_error_before_any_child(self, capsys, tmp_path,
+                                                                monkeypatch, split):
+        # int(split * 300) = 0 tuning rounds: every tune_loss would be NaN
+        import ogboost.cli as cli
+
+        def no_child_runs(*args):
+            raise AssertionError("a child ran before --split was checked")
+
+        monkeypatch.setattr(cli, "_grid_child", no_child_runs)
+        code, out, err = _run(["grid", "--split", split, "--rounds", "300", "--grid-lr",
+                               "1.0,0.5", "--grid-stages", "5", "--workers", "1",
+                               "--out-dir", str(tmp_path)], capsys)
+        assert code == EXIT_CONFIG
+        assert f"config error: --split {float(split)} leaves no tuning round" in err
+        assert not list(tmp_path.iterdir())

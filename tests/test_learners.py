@@ -540,9 +540,7 @@ class TestGreedyAdapter:
 
     def test_zero_alpha_degenerate(self):
         pool = _const_pool([0.5, -0.5])
-        params = LossClass("squared").ball_params(2.0)
-        ad = greedy_adapter(GreedyFitLearner(pool), 100, params, offset_bound=1.0,
-                            regret_fn=lambda t: 0.0)
+        ad = GreedyFitLearner(pool)  # the default alpha 0
         assert ad.alpha == 0.0
         lc = LossClass("squared")
         ex = _ex({0: 1.0}, eid=0)

@@ -91,6 +91,10 @@ MUTATIONS = [
              "if not values.all():"),
     Mutation("libsvm block without the distinct-id check", "src/ogboost/bench.py",
              "if rows.size:", "if False:"),
+    Mutation("batch gate's >= 0.0 reversed", "src/ogboost/batch.py",
+             "grad_pairing(f_values, f_values) >= 0.0", "grad_pairing(f_values, f_values) <= 0.0"),
+    Mutation("batch gated shrink halved", "src/ogboost/batch.py",
+             "(1.0 - sigma * eta) * f_values", "(1.0 - 0.5 * sigma * eta) * f_values"),
 ]
 
 _FAILED = re.compile(r"^(?:FAILED|ERROR) (\S+)", re.MULTILINE)
